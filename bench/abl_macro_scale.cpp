@@ -310,18 +310,6 @@ std::uint64_t sum_u64(const std::vector<std::uint64_t>& v) {
   return s;
 }
 
-nestv::bench::JsonReport::ConductorInfo conductor_info(
-    const MacroScaleResult& r) {
-  nestv::bench::JsonReport::ConductorInfo info;
-  info.epochs = r.epochs;
-  info.fused_epochs = r.fused_epochs;
-  info.cross_posts = r.cross_posts;
-  info.drained_posts = r.drained_posts;
-  info.idle_windows = r.idle_windows;
-  info.barrier_wait_ns = r.barrier_wait_ns;
-  return info;
-}
-
 /// Wall-clock speedup numbers only mean something when every worker can
 /// have a core.  When the host has fewer hardware threads than the widest
 /// sweep point has workers, say so and record it next to the wall metrics
@@ -453,7 +441,7 @@ int main(int argc, char** argv) {
     bench::JsonReport report("abl_macro_scale", args.seed);
     report.set_execution_info(r.shards, r.worker_threads,
                               r.per_shard_events);
-    report.set_conductor_info(conductor_info(r));
+    report.set_conductor_info(r);
     add_sim_outputs(report, r);
     add_state_metrics(report, r);
     note_oversubscription(report, r.shards);
@@ -486,7 +474,7 @@ int main(int argc, char** argv) {
   const auto& widest = results.back();
   report.set_execution_info(widest.shards, widest.worker_threads,
                             widest.per_shard_events);
-  report.set_conductor_info(conductor_info(widest));
+  report.set_conductor_info(widest);
 
   // Simulated outputs of the shards=1 baseline: deterministic, gated.
   add_sim_outputs(report, base_r);

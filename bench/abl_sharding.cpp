@@ -88,18 +88,6 @@ void print_point(const DatacenterMacroResult& r, double delta) {
       events_per_sec(r), delta);
 }
 
-nestv::bench::JsonReport::ConductorInfo conductor_info(
-    const DatacenterMacroResult& r) {
-  nestv::bench::JsonReport::ConductorInfo info;
-  info.epochs = r.epochs;
-  info.fused_epochs = r.fused_epochs;
-  info.cross_posts = r.cross_posts;
-  info.drained_posts = r.drained_posts;
-  info.idle_windows = r.idle_windows;
-  info.barrier_wait_ns = r.barrier_wait_ns;
-  return info;
-}
-
 void add_sim_outputs(nestv::bench::JsonReport& report,
                      const DatacenterMacroResult& r) {
   report.add("rr_transactions", r.rr_transactions);
@@ -127,7 +115,7 @@ int main(int argc, char** argv) {
     bench::JsonReport report("abl_sharding", args.seed);
     report.set_execution_info(r.shards, r.worker_threads,
                               r.per_shard_events);
-    report.set_conductor_info(conductor_info(r));
+    report.set_conductor_info(r);
     add_sim_outputs(report, r);
     report.add("wall_seconds", r.wall_seconds);
     report.add("events_per_sec_wall", events_per_sec(r));
@@ -151,7 +139,7 @@ int main(int argc, char** argv) {
   const auto& widest = results.back();
   report.set_execution_info(widest.shards, widest.worker_threads,
                             widest.per_shard_events);
-  report.set_conductor_info(conductor_info(widest));
+  report.set_conductor_info(widest);
 
   // Simulated outputs of the shards=1 baseline: deterministic, gated.
   add_sim_outputs(report, base);

@@ -2,8 +2,9 @@
 // next to its stdout table so CI and EXPERIMENTS.md tooling can diff the
 // reproduced metrics against the paper's targets without scraping text.
 //
-// Standalone (stdio only) so benches that do not link the workload layer
-// (tab02_aws_catalog, abl_sched_policy, abl_conntrack) can include it.
+// Standalone (stdio plus the plain sim::ConductorStats struct) so benches
+// that do not link the workload layer (tab02_aws_catalog,
+// abl_sched_policy, abl_conntrack) can include it.
 #pragma once
 
 #include <cmath>
@@ -11,6 +12,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "sim/conductor_stats.hpp"
 
 namespace nestv::bench {
 
@@ -33,23 +36,6 @@ class JsonReport {
     metrics_.push_back(Metric{metric, value, paper_target});
   }
 
-  /// Conductor execution counters beyond the shard/worker shape: the
-  /// epoch-loop telemetry ShardedConductor::stats() reports.  Everything
-  /// here describes *how* the run executed, not the simulated system;
-  /// barrier_wait_ns is wall-clock and idle_windows depends on the window
-  /// schedule, so none of it is gated — check_bench.py folds it into the
-  /// BENCH_summary.json "execution" section only.
-  struct ConductorInfo {
-    std::uint64_t epochs = 0;
-    std::uint64_t fused_epochs = 0;
-    std::uint64_t cross_posts = 0;
-    std::uint64_t drained_posts = 0;
-    /// Per-shard count of windows that executed zero events.
-    std::vector<std::uint64_t> idle_windows;
-    /// Per-worker nanoseconds spent waiting at epoch barriers.
-    std::vector<std::uint64_t> barrier_wait_ns;
-  };
-
   /// Records how the simulation executed: conductor shards, worker
   /// threads, and events per shard.  Serialized as top-level fields (not
   /// metrics) because they describe the execution, not the simulated
@@ -64,8 +50,12 @@ class JsonReport {
   }
 
   /// Optionally attaches the conductor's epoch-loop counters; serialized
-  /// as a nested "execution" object.
-  void set_conductor_info(ConductorInfo info) {
+  /// as a nested "execution" object.  They describe *how* the run
+  /// executed, not the simulated system (barrier_wait_ns is wall clock,
+  /// idle_windows follows the window schedule), so check_bench.py folds
+  /// them into BENCH_summary.json and never gates them.  Pass a scenario
+  /// result directly: it derives from sim::ConductorStats.
+  void set_conductor_info(sim::ConductorStats info) {
     conductor_ = std::move(info);
     have_conductor_ = true;
   }
@@ -162,7 +152,7 @@ class JsonReport {
   int shards_ = 1;
   unsigned worker_threads_ = 1;
   std::vector<std::uint64_t> per_shard_events_;
-  ConductorInfo conductor_;
+  sim::ConductorStats conductor_;
   bool have_conductor_ = false;
   std::vector<Metric> metrics_;
   bool written_ = false;

@@ -1,28 +1,6 @@
 #include "net/conn_table.hpp"
 
 namespace nestv::net {
-namespace {
-
-// Hash tables below are open-addressed with linear probing over a
-// *non-power-of-two* array: rebuilt to a 70% load factor, grown when
-// live + tombstones pass 85%.  Power-of-two sizing looked cheaper (mask
-// instead of modulo) but lands the array anywhere between 2x and 4x the
-// element count; at macro scale the per-stack tables hold tens to
-// hundreds of entries and that rounding was a double-digit share of all
-// conntrack bytes.  The modulo is off the per-packet fast path (find()
-// probes hash *once* per lookup).
-
-[[nodiscard]] std::size_t sized_for(std::size_t live) {
-  const std::size_t n = live * 10 / 7 + 1;
-  return n < 32 ? 32 : n;
-}
-
-[[nodiscard]] bool wants_grow(std::size_t live, std::size_t dead,
-                              std::size_t size) {
-  return (live + dead + 1) * 20 >= size * 17;
-}
-
-}  // namespace
 
 std::size_t ConnKeyHash::operator()(const ConnKey& k) const noexcept {
   std::uint64_t h = k.src_ip.value();
@@ -35,33 +13,28 @@ std::size_t ConnKeyHash::operator()(const ConnKey& k) const noexcept {
 
 std::uint32_t ConnTable::slot_of(std::uint64_t id) const {
   const std::uint32_t s = static_cast<std::uint32_t>(id & 0xffffffffU) - 1;
-  if (s >= slots_used_) return kFreeEnd;
-  const Slot& sl = slot(s);
+  if (s >= slots_.used()) return slab::kNil;
+  const Slot& sl = slots_[s];
   if (sl.next_free != kOccupied ||
       sl.gen != static_cast<std::uint32_t>(id >> 32)) {
-    return kFreeEnd;
+    return slab::kNil;
   }
   return s;
 }
 
 bool ConnTable::slot_has_tuple(std::uint32_t s, const ConnKey& key) const {
-  const Slot& sl = slot(s);
+  const Slot& sl = slots_[s];
   if (sl.next_free != kOccupied) return false;
   return sl.entry.orig == key || (sl.entry.confirmed && sl.entry.reply == key);
 }
 
 ConnTable::Ref ConnTable::find(const ConnKey& key) {
-  if (buckets_.empty()) return {};
-  const std::size_t n = buckets_.size();
-  const std::uint64_t h = ConnKeyHash{}(key);
-  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-    const Bucket ref = buckets_[i];
-    if (ref == kEmptyRef) return {};
-    if (ref != kTombRef && slot_has_tuple(ref - 1, key)) {
-      Slot& sl = slot(ref - 1);
-      return Ref{id_of(ref - 1, sl.gen), &sl.entry};
-    }
-  }
+  const std::uint32_t s = index_.find(
+      ConnKeyHash{}(key),
+      [this, &key](std::uint32_t b) { return slot_has_tuple(b, key); });
+  if (s == slab::kNil) return {};
+  Slot& sl = slots_[s];
+  return Ref{id_of(s, sl.gen), &sl.entry};
 }
 
 const ConnEntry* ConnTable::find(const ConnKey& key) const {
@@ -71,34 +44,17 @@ const ConnEntry* ConnTable::find(const ConnKey& key) const {
 
 ConnTable::Ref ConnTable::find_id(std::uint64_t id) {
   const std::uint32_t s = slot_of(id);
-  if (s == kFreeEnd) return {};
-  return Ref{id, &slot(s).entry};
+  if (s == slab::kNil) return {};
+  return Ref{id, &slots_[s].entry};
 }
 
 bool ConnTable::alive(std::uint64_t id) const {
-  return slot_of(id) != kFreeEnd;
-}
-
-std::uint32_t ConnTable::alloc_slot() {
-  if (free_head_ != kFreeEnd) {
-    const std::uint32_t s = free_head_;
-    free_head_ = slot(s).next_free;
-    return s;
-  }
-  if (slots_used_ == slots_cap_) {
-    const std::uint32_t n =
-        kFirstChunkSlots
-        << (static_cast<std::uint32_t>(chunks_.size()) / kChunksPerDoubling);
-    chunks_.push_back(std::make_unique<Slot[]>(n));
-    chunk_bases_.push_back(slots_cap_);
-    slots_cap_ += n;
-  }
-  return slots_used_++;
+  return slot_of(id) != slab::kNil;
 }
 
 ConnTable::Ref ConnTable::create(const ConnEntry& entry) {
-  const std::uint32_t s = alloc_slot();
-  Slot& sl = slot(s);
+  const std::uint32_t s = slots_.alloc();
+  Slot& sl = slots_[s];
   sl.entry = entry;
   sl.next_free = kOccupied;
   ++live_;
@@ -109,20 +65,14 @@ ConnTable::Ref ConnTable::create(const ConnEntry& entry) {
 
 void ConnTable::register_reply(std::uint64_t id, const ConnKey& reply) {
   const std::uint32_t s = slot_of(id);
-  if (s == kFreeEnd) return;
+  if (s == slab::kNil) return;
   // Already bound (reply == orig, or a re-confirmation): keep one binding,
   // re-pointing it at this connection like the map's operator[] did.
-  if (!buckets_.empty()) {
-    const std::size_t n = buckets_.size();
-    const std::uint64_t h = ConnKeyHash{}(reply);
-    for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-      Bucket& b = buckets_[i];
-      if (b == kEmptyRef) break;
-      if (b != kTombRef && slot_has_tuple(b - 1, reply)) {
-        b = s + 1;
-        return;
-      }
-    }
+  if (index_.rebind(
+          ConnKeyHash{}(reply),
+          [this, &reply](std::uint32_t b) { return slot_has_tuple(b, reply); },
+          s)) {
+    return;
   }
   index_insert(reply, s);
   port_add(reply);
@@ -130,103 +80,51 @@ void ConnTable::register_reply(std::uint64_t id, const ConnKey& reply) {
 
 void ConnTable::erase(std::uint64_t id) {
   const std::uint32_t s = slot_of(id);
-  if (s == kFreeEnd) return;
-  Slot& sl = slot(s);
-  index_erase(sl.entry.orig, s);
-  port_remove(sl.entry.orig);
-  if (sl.entry.confirmed && !(sl.entry.reply == sl.entry.orig)) {
-    index_erase(sl.entry.reply, s);
-    port_remove(sl.entry.reply);
-  }
-  sl.next_free = free_head_;
+  if (s == slab::kNil) return;
+  Slot& sl = slots_[s];
+  // When a slot's two bindings share a probe window the bucket erased for
+  // one tuple may be the other's — harmless, because both go back to back.
+  each_tuple(sl.entry, [this, s](const ConnKey& k) {
+    index_.erase(ConnKeyHash{}(k), s);
+    port_remove(k);
+  });
   ++sl.gen;
-  free_head_ = s;
+  slots_.release(s);
   --live_;
 }
 
 ConnTable::Ref ConnTable::at_slot(std::size_t i) {
-  if (i >= slots_used_) return {};
-  Slot& sl = slot(static_cast<std::uint32_t>(i));
+  if (i >= slots_.used()) return {};
+  Slot& sl = slots_[static_cast<std::uint32_t>(i)];
   if (sl.next_free != kOccupied) return {};
   return Ref{id_of(static_cast<std::uint32_t>(i), sl.gen), &sl.entry};
 }
 
 void ConnTable::index_insert(const ConnKey& key, std::uint32_t s) {
-  if (wants_grow(index_live_, index_dead_, buckets_.size())) {
-    index_grow();
+  if (index_.full()) {
+    // Slot `s` is already live, so the rebuild binds its tuples too and
+    // the insert below binds `key` a second time.  Lookups verify the
+    // slot's tuples, so the extra binding only shifts rebuild timing —
+    // which the gated state_bytes() figures pin.
+    std::size_t tuples = 0;
+    each_binding([&tuples](const ConnKey&, std::uint32_t) { ++tuples; });
+    index_.rebuild(tuples, [this](const auto& place) {
+      each_binding([&place](const ConnKey& k, std::uint32_t b) {
+        place(ConnKeyHash{}(k), b);
+      });
+    });
   }
-  const std::size_t n = buckets_.size();
-  const std::uint64_t h = ConnKeyHash{}(key);
-  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-    Bucket& b = buckets_[i];
-    if (b == kEmptyRef || b == kTombRef) {
-      if (b == kTombRef) --index_dead_;
-      b = s + 1;
-      ++index_live_;
-      return;
-    }
-  }
-}
-
-void ConnTable::index_erase(const ConnKey& key, std::uint32_t s) {
-  if (buckets_.empty()) return;
-  const std::size_t n = buckets_.size();
-  const std::uint64_t h = ConnKeyHash{}(key);
-  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-    Bucket& b = buckets_[i];
-    if (b == kEmptyRef) return;
-    if (b == s + 1) {
-      // Slot identity (not key equality) guards the erase: a tuple
-      // re-bound to another connection must survive its old owner's
-      // death.  When a slot's two bindings share a probe window the one
-      // hit first may be the other tuple's — harmless, because erase(id)
-      // always removes both bindings back to back, so the pair of calls
-      // tombstones the pair of buckets either way.
-      b = kTombRef;
-      --index_live_;
-      ++index_dead_;
-      return;
-    }
-  }
-}
-
-void ConnTable::index_grow() {
-  // Rebuild for the live tuples at 70% load; tombstones are dropped.
-  std::size_t tuples = 0;
-  for (std::uint32_t s = 0; s < slots_used_; ++s) {
-    const Slot& sl = slot(s);
-    if (sl.next_free != kOccupied) continue;
-    tuples += 1 + (sl.entry.confirmed && !(sl.entry.reply == sl.entry.orig));
-  }
-  const std::size_t n = sized_for(tuples);
-  buckets_.assign(n, kEmptyRef);
-  buckets_.shrink_to_fit();
-  index_live_ = 0;
-  index_dead_ = 0;
-  auto insert = [&](const ConnKey& key, std::uint32_t s) {
-    const std::uint64_t h = ConnKeyHash{}(key);
-    for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-      Bucket& b = buckets_[i];
-      if (b == kEmptyRef) {
-        b = s + 1;
-        ++index_live_;
-        return;
-      }
-    }
-  };
-  for (std::uint32_t s = 0; s < slots_used_; ++s) {
-    const Slot& sl = slot(s);
-    if (sl.next_free != kOccupied) continue;
-    insert(sl.entry.orig, s);
-    if (sl.entry.confirmed && !(sl.entry.reply == sl.entry.orig)) {
-      insert(sl.entry.reply, s);
-    }
-  }
+  index_.insert(ConnKeyHash{}(key), s);
 }
 
 bool ConnTable::port_in_use(L4Proto proto, Ipv4Address ip,
                             std::uint16_t port) {
-  if (!ports_built_) ports_build();
+  if (!ports_built_) {
+    // Mirror every registered tuple; from here on port_add / port_remove
+    // keep the index identical to an eagerly maintained one.
+    ports_built_ = true;
+    each_binding([this](const ConnKey& k, std::uint32_t) { port_add(k); });
+  }
   if (port_keys_.empty()) return false;
   const std::uint64_t key = port_key(proto, ip, port);
   const std::size_t n = port_keys_.size();
@@ -241,7 +139,7 @@ bool ConnTable::port_in_use(L4Proto proto, Ipv4Address ip,
 
 void ConnTable::port_add(const ConnKey& key) {
   if (!ports_built_) return;
-  if (wants_grow(ports_live_, ports_dead_, port_keys_.size())) {
+  if (slab::wants_grow(ports_live_, ports_dead_, port_keys_.size())) {
     port_grow();
   }
   const std::uint64_t pk = port_key(key.proto, key.dst_ip, key.dst_port);
@@ -292,7 +190,7 @@ void ConnTable::port_grow() {
   std::vector<std::uint32_t> old_counts = std::move(port_counts_);
   std::size_t live = 0;
   for (const std::uint64_t k : old_keys) live += (k != 0 && k != ~0ULL);
-  const std::size_t n = sized_for(live);
+  const std::size_t n = slab::sized_for(live);
   port_keys_.assign(n, 0);
   port_counts_.assign(n, 0);
   port_keys_.shrink_to_fit();
@@ -315,24 +213,8 @@ void ConnTable::port_grow() {
   }
 }
 
-void ConnTable::ports_build() {
-  ports_built_ = true;
-  // Mirror every currently-registered tuple.  From here on port_add /
-  // port_remove keep the index in sync, so the contents are identical to
-  // an eagerly-maintained index at every point in time.
-  for (std::uint32_t s = 0; s < slots_used_; ++s) {
-    const Slot& sl = slot(s);
-    if (sl.next_free != kOccupied) continue;
-    port_add(sl.entry.orig);
-    if (sl.entry.confirmed && !(sl.entry.reply == sl.entry.orig)) {
-      port_add(sl.entry.reply);
-    }
-  }
-}
-
 std::size_t ConnTable::state_bytes() const {
-  return slots_cap_ * sizeof(Slot) +
-         buckets_.capacity() * sizeof(Bucket) +
+  return slots_.bytes() + index_.bytes() +
          port_keys_.capacity() * sizeof(std::uint64_t) +
          port_counts_.capacity() * sizeof(std::uint32_t);
 }

@@ -9,12 +9,10 @@
 // that footprint and scan dominate; ONCache (PAPERS.md) makes the same
 // observation for overlay datapaths.  This store keeps the exact external
 // semantics (ids are opaque, both tuples of a confirmed connection resolve
-// to one entry, gc reaps by idle time) with:
+// to one entry, gc reaps by idle time) on the shared slab storage
+// (net/slab_table.hpp), plus:
 //
-//   * a slab arena of fixed-size entry slots (chunked, stable addresses,
-//     LIFO free list) — no per-entry heap nodes;
-//   * one open-addressed index of 8-byte buckets (tag + slot ref) covering
-//     both tuple directions — no node-based maps;
+//   * one tuple index covering both directions of every connection;
 //   * ids encoding (slot, generation), so id lookup (the packet fast path
 //     and the flow-cache liveness check) is O(1) with no hashing;
 //   * a flat (proto, ip, port) occupancy index mirroring the registered
@@ -26,12 +24,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
 #include "net/packet.hpp"
+#include "net/slab_table.hpp"
 #include "sim/time.hpp"
 
 namespace nestv::net {
@@ -98,7 +95,11 @@ class ConnTable {
 
   /// Registers the (confirmed) reply tuple of `id`.  If the tuple is
   /// already bound to another connection it is re-bound, matching the
-  /// overwrite semantics of the map-based implementation.
+  /// overwrite semantics of the map-based implementation.  Known quirk,
+  /// kept because gated outputs depend on it: the re-bind adds no port
+  /// count, and when the old owner still registers the tuple (an
+  /// unconfirmed inbound flow) the next index rebuild, which re-inserts
+  /// in slot order, can resolve it to the old owner again.
   void register_reply(std::uint64_t id, const ConnKey& reply);
 
   /// Erases the connection and both its tuples; no-op on a dead id.
@@ -115,7 +116,7 @@ class ConnTable {
                                  std::uint16_t port);
 
   /// Slot-order iteration bound (slots in [0, slot_count()) may be free).
-  [[nodiscard]] std::size_t slot_count() const { return slots_used_; }
+  [[nodiscard]] std::size_t slot_count() const { return slots_.used(); }
   /// Ref for slot `i`, or null when the slot is free.
   [[nodiscard]] Ref at_slot(std::size_t i);
 
@@ -123,63 +124,39 @@ class ConnTable {
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:
-  /// Slab chunks grow in a shallow geometric sequence — four chunks per
-  /// size doubling (8, 8, 8, 8, 16, 16, ... slots) — so a stack that
-  /// tracks three flows pays for 8 slots, and a table sampled at an
-  /// arbitrary occupancy carries at most ~25% allocated-but-unused slot
-  /// slack (a plain doubling sequence averages ~2x that).  Matters when a
-  /// macro-scale run holds hundreds of mostly-idle stacks; busy tables
-  /// still get amortized O(1) growth.  Addresses stay stable.
-  static constexpr std::uint32_t kFirstChunkSlots = 8;
-  static constexpr std::uint32_t kChunksPerDoubling = 4;
-  static constexpr std::uint32_t kFreeEnd = 0xffffffffU;
   static constexpr std::uint32_t kOccupied = 0xfffffffeU;
-  static constexpr std::uint32_t kEmptyRef = 0;
-  static constexpr std::uint32_t kTombRef = 0xffffffffU;
 
   struct Slot {
     ConnEntry entry;
     std::uint32_t gen = 0;
-    /// kOccupied while live; otherwise next free slot (kFreeEnd = none).
-    std::uint32_t next_free = kFreeEnd;
+    /// kOccupied while live; otherwise the free-list link.
+    std::uint32_t next_free = slab::kNil;
   };
 
-  /// Tuple-index bucket: slot+1 (kEmptyRef empty, kTombRef erased).  No
-  /// stored tag/hash: probes verify against the slot's own tuples, and
-  /// erase-by-(key, slot) stays unambiguous because a slot's two bindings
-  /// are only ever erased together (see index_erase).
-  using Bucket = std::uint32_t;
-
-  /// Slot s lives in the chunk whose base is the largest <= s; chunks are
-  /// few (the sequence above), and hot slots sit in the last chunks, so a
-  /// reverse scan of the base table beats closed-form arithmetic here.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> chunk_of(
-      std::uint32_t s) const {
-    std::size_t c = chunk_bases_.size() - 1;
-    while (chunk_bases_[c] > s) --c;
-    return {c, s - chunk_bases_[c]};
-  }
-  [[nodiscard]] Slot& slot(std::uint32_t s) {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
-  [[nodiscard]] const Slot& slot(std::uint32_t s) const {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
   [[nodiscard]] static std::uint64_t id_of(std::uint32_t s,
                                            std::uint32_t gen) {
     return (std::uint64_t{gen} << 32) | (s + 1);
   }
-  /// Slot of `id`, or kFreeEnd when the id is stale.
+  /// Slot of `id`, or slab::kNil when the id is stale.
   [[nodiscard]] std::uint32_t slot_of(std::uint64_t id) const;
   [[nodiscard]] bool slot_has_tuple(std::uint32_t s,
                                     const ConnKey& key) const;
-
-  std::uint32_t alloc_slot();
+  /// Calls fn(tuple) for each tuple `e` registers: orig, plus the reply
+  /// once confirmed (when it differs).
+  template <typename Fn>
+  static void each_tuple(const ConnEntry& e, const Fn& fn) {
+    fn(e.orig);
+    if (e.confirmed && !(e.reply == e.orig)) fn(e.reply);
+  }
+  /// Calls fn(tuple, slot) for every live slot's tuples, in slot order.
+  template <typename Fn>
+  void each_binding(const Fn& fn) const {
+    for (std::uint32_t s = 0; s < slots_.used(); ++s) {
+      if (slots_[s].next_free != kOccupied) continue;
+      each_tuple(slots_[s].entry, [&](const ConnKey& k) { fn(k, s); });
+    }
+  }
   void index_insert(const ConnKey& key, std::uint32_t s);
-  void index_erase(const ConnKey& key, std::uint32_t s);
-  void index_grow();
 
   [[nodiscard]] static std::uint64_t port_key(L4Proto proto, Ipv4Address ip,
                                               std::uint16_t port) {
@@ -190,18 +167,11 @@ class ConnTable {
   void port_add(const ConnKey& key);
   void port_remove(const ConnKey& key);
   void port_grow();
-  void ports_build();
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<std::uint32_t> chunk_bases_;  ///< first slot of each chunk
-  std::uint32_t slots_used_ = 0;   ///< high-water slot count
-  std::uint32_t slots_cap_ = 0;    ///< slots allocated across chunks
-  std::uint32_t free_head_ = kFreeEnd;
+  slab::Arena<Slot, &Slot::next_free> slots_;
   std::size_t live_ = 0;
-
-  std::vector<Bucket> buckets_;
-  std::size_t index_live_ = 0;   ///< occupied buckets
-  std::size_t index_dead_ = 0;   ///< tombstones
+  /// Tuple index over both directions; allocated on the first create().
+  slab::Index index_;
 
   /// Port-occupancy map, split into parallel arrays (12 bytes per bucket
   /// instead of a padded 16-byte struct): port_keys_[i] holds the packed

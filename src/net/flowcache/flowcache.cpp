@@ -2,184 +2,6 @@
 
 namespace nestv::net::flowcache {
 
-std::uint32_t FlowCache::find_slot(const FlowKey& key) const {
-  const std::size_t n = buckets_.size();
-  for (std::size_t i = FlowKeyHash{}(key) % n;; i = i + 1 == n ? 0 : i + 1) {
-    const std::uint32_t b = buckets_[i];
-    if (b == kNil) return kNil;
-    if (b != kTomb && slot(b).key == key) return b;
-  }
-}
-
-std::uint32_t FlowCache::alloc_slot() {
-  if (free_head_ != kNil) {
-    const std::uint32_t s = free_head_;
-    free_head_ = slot(s).lru_next;
-    return s;
-  }
-  if (slots_used_ == slots_cap_) {
-    const std::uint32_t n =
-        kFirstChunkSlots
-        << (static_cast<std::uint32_t>(chunks_.size()) / kChunksPerDoubling);
-    chunks_.push_back(std::make_unique<Slot[]>(n));
-    chunk_bases_.push_back(slots_cap_);
-    slots_cap_ += n;
-  }
-  return slots_used_++;
-}
-
-void FlowCache::lru_unlink(std::uint32_t s) {
-  Slot& sl = slot(s);
-  if (sl.lru_prev != kNil) {
-    slot(sl.lru_prev).lru_next = sl.lru_next;
-  } else {
-    lru_head_ = sl.lru_next;
-  }
-  if (sl.lru_next != kNil) {
-    slot(sl.lru_next).lru_prev = sl.lru_prev;
-  } else {
-    lru_tail_ = sl.lru_prev;
-  }
-  sl.lru_prev = sl.lru_next = kNil;
-}
-
-void FlowCache::lru_push_front(std::uint32_t s) {
-  Slot& sl = slot(s);
-  sl.lru_prev = kNil;
-  sl.lru_next = lru_head_;
-  if (lru_head_ != kNil) slot(lru_head_).lru_prev = s;
-  lru_head_ = s;
-  if (lru_tail_ == kNil) lru_tail_ = s;
-}
-
-void FlowCache::erase_slot(std::uint32_t s) {
-  bucket_erase(s);
-  lru_unlink(s);
-  Slot& sl = slot(s);
-  sl.lru_prev = kFreeMark;
-  sl.lru_next = free_head_;  // reused as the free-list link
-  free_head_ = s;
-  --size_;
-}
-
-void FlowCache::bucket_insert(std::uint32_t s) {
-  maybe_grow_buckets();
-  const std::size_t n = buckets_.size();
-  for (std::size_t i = FlowKeyHash{}(slot(s).key) % n;;
-       i = i + 1 == n ? 0 : i + 1) {
-    std::uint32_t& b = buckets_[i];
-    if (b == kNil || b == kTomb) {
-      if (b == kTomb) --bucket_dead_;
-      b = s;
-      return;
-    }
-  }
-}
-
-void FlowCache::bucket_erase(std::uint32_t s) {
-  const std::size_t n = buckets_.size();
-  for (std::size_t i = FlowKeyHash{}(slot(s).key) % n;;
-       i = i + 1 == n ? 0 : i + 1) {
-    if (buckets_[i] == s) {
-      buckets_[i] = kTomb;
-      ++bucket_dead_;
-      return;
-    }
-  }
-}
-
-const CachedPath* FlowCache::lookup(const FlowKey& key) {
-  const std::uint32_t s = find_slot(key);
-  if (s == kNil) {
-    rate_.miss();
-    return nullptr;
-  }
-  if (slot(s).path.generation != static_cast<std::uint16_t>(generation_)) {
-    // Stamped before the last invalidate_all(): lazily reclaimed here.
-    erase_slot(s);
-    rate_.miss();
-    return nullptr;
-  }
-  lru_unlink(s);
-  lru_push_front(s);
-  rate_.hit();
-  return &slot(s).path;
-}
-
-const CachedPath* FlowCache::peek(const FlowKey& key) const {
-  const std::uint32_t s = find_slot(key);
-  if (s == kNil ||
-      slot(s).path.generation != static_cast<std::uint16_t>(generation_)) {
-    return nullptr;
-  }
-  return &slot(s).path;
-}
-
-void FlowCache::insert(const FlowKey& key, CachedPath path) {
-  path.generation = static_cast<std::uint16_t>(generation_);
-  const std::uint32_t existing = find_slot(key);
-  if (existing != kNil) {
-    slot(existing).path = std::move(path);
-    lru_unlink(existing);
-    lru_push_front(existing);
-    return;
-  }
-  if (size_ >= capacity_ && lru_tail_ != kNil) {
-    erase_slot(lru_tail_);
-    ++evictions_;
-  }
-  const std::uint32_t s = alloc_slot();
-  Slot& sl = slot(s);
-  sl.key = key;
-  sl.path = std::move(path);
-  bucket_insert(s);
-  lru_push_front(s);
-  ++size_;
-}
-
-void FlowCache::maybe_grow_buckets() {
-  if ((size_ + bucket_dead_ + 1) * 20 < buckets_.size() * 17) return;
-  std::size_t n = size_ * 10 / 7 + 1;
-  if (n < 32) n = 32;
-  buckets_.assign(n, kNil);
-  buckets_.shrink_to_fit();
-  bucket_dead_ = 0;
-  for (std::uint32_t s = 0; s < slots_used_; ++s) {
-    if (!slot(s).occupied()) continue;
-    for (std::size_t i = FlowKeyHash{}(slot(s).key) % n;;
-         i = i + 1 == n ? 0 : i + 1) {
-      if (buckets_[i] == kNil) {
-        buckets_[i] = s;
-        break;
-      }
-    }
-  }
-}
-
-void FlowCache::invalidate(const FlowKey& key) {
-  const std::uint32_t s = find_slot(key);
-  if (s == kNil) return;
-  erase_slot(s);
-  ++invalidations_;
-}
-
-std::size_t FlowCache::invalidate_if(
-    const std::function<bool(const FlowKey&, const CachedPath&)>& pred) {
-  std::size_t flushed = 0;
-  // Most-recent-first, matching the list-based iteration order (the
-  // predicate may observe entries; order is part of the contract).
-  for (std::uint32_t s = lru_head_; s != kNil;) {
-    const std::uint32_t next = slot(s).lru_next;
-    if (pred(slot(s).key, slot(s).path)) {
-      erase_slot(s);
-      ++flushed;
-    }
-    s = next;
-  }
-  invalidations_ += flushed;
-  return flushed;
-}
-
 std::size_t FlowCache::invalidate_match(
     const RuleMatch& match,
     const std::function<std::string(int)>& iface_name) {
@@ -224,11 +46,6 @@ std::size_t FlowCache::invalidate_conn(std::uint64_t ct_id) {
   return invalidate_if([ct_id](const FlowKey&, const CachedPath& path) {
     return path.ct_id == ct_id;
   });
-}
-
-void FlowCache::invalidate_all() {
-  ++generation_;
-  invalidations_ += size_;
 }
 
 }  // namespace nestv::net::flowcache

@@ -18,28 +18,21 @@
 //    (invalidate_match / invalidate_mac / invalidate_ifindex /
 //    invalidate_conn), so unrelated flows keep their fast path.
 //
-// Storage is an intrusive LRU over slab-allocated slots: entries live in
-// fixed-size chunks grown on demand (never per-entry heap nodes), the LRU
-// is a doubly-linked list of slot indices threaded through the slots, and
-// the key index is a bucketed chain also threaded through the slots.  The
-// node-based std::list + std::unordered_map it replaces cost ~2.5x the
-// bytes per cached flow (bench/abl_conntrack reports both); at the macro
-// scale target (~10^5..10^6 concurrent flows across hundreds of stacks)
-// that footprint is the difference between fitting in cache and not.
+// Storage is the shared slab LRU table (net/slab_table.hpp): entries live
+// in chunked slots, never per-entry heap nodes.  The node-based
+// std::list + std::unordered_map it replaces cost ~2.5x the bytes per
+// cached flow (bench/abl_conntrack reports both); at the macro scale
+// target (~10^5..10^6 concurrent flows across hundreds of stacks) that
+// footprint is the difference between fitting in cache and not.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "net/flowcache/flow_key.hpp"
 #include "net/netfilter.hpp"
-#include "sim/stats.hpp"
-#include "sim/time.hpp"
+#include "net/slab_table.hpp"
 
 namespace nestv::net::flowcache {
 
@@ -86,39 +79,13 @@ struct CachedPath {
 };
 
 /// LRU cache of CachedPath entries with generation-stamped and targeted
-/// invalidation.  Not thread-safe (the simulation is single-threaded).
-class FlowCache {
+/// invalidation.  lookup() does not check routes_gen or conntrack
+/// liveness: the owning stack validates those (it owns the authoritative
+/// state) and calls invalidate() on failure.
+class FlowCache : public slab::LruTable<FlowKey, CachedPath, FlowKeyHash> {
  public:
-  explicit FlowCache(std::size_t capacity = 4096) : capacity_(capacity) {
-    // Buckets start small and are rebuilt with occupancy (see
-    // maybe_grow_buckets).  A macro-scale run holds hundreds of stacks
-    // whose caches mostly sit far below capacity; sizing the bucket
-    // array for capacity up front would dominate their resident bytes
-    // (see bench/abl_macro_scale's bytes-per-flow metric).
-    buckets_.assign(32, kNil);
-  }
+  explicit FlowCache(std::size_t capacity = 4096) : LruTable(capacity) {}
 
-  /// Looks up `key`, refreshing LRU order.  Entries stamped with an old
-  /// cache generation are erased and reported as misses.  Does not check
-  /// routes_gen / conntrack liveness — the owning stack validates those
-  /// (it owns the authoritative state) and calls invalidate() on failure.
-  [[nodiscard]] const CachedPath* lookup(const FlowKey& key);
-
-  /// Peek without touching LRU order or hit/miss counters (tests, stats).
-  [[nodiscard]] const CachedPath* peek(const FlowKey& key) const;
-  [[nodiscard]] bool contains(const FlowKey& key) const {
-    return peek(key) != nullptr;
-  }
-
-  /// Inserts (or replaces) the entry, stamping the current generation and
-  /// evicting the least-recently-used entry when full.
-  void insert(const FlowKey& key, CachedPath path);
-
-  // ---- invalidation -----------------------------------------------------
-  void invalidate(const FlowKey& key);
-  /// Flushes entries for which `pred(key, path)` holds; returns the count.
-  std::size_t invalidate_if(
-      const std::function<bool(const FlowKey&, const CachedPath&)>& pred);
   /// Rule-table edit: flushes entries whose ingress *or* post-rewrite
   /// header view matches the changed rule's predicate.  `iface_name`
   /// resolves an ifindex to the owning stack's interface name ("" when
@@ -132,99 +99,6 @@ class FlowCache {
   std::size_t invalidate_ifindex(int ifindex);
   /// Conntrack expiry: flushes entries backed by connection `ct_id`.
   std::size_t invalidate_conn(std::uint64_t ct_id);
-  /// O(1) full flush via generation bump (route-table edits, mode flips).
-  void invalidate_all();
-
-  // ---- statistics -------------------------------------------------------
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
-  [[nodiscard]] const sim::HitRateCounter& hit_rate() const { return rate_; }
-  [[nodiscard]] std::uint64_t hits() const { return rate_.hits(); }
-  [[nodiscard]] std::uint64_t misses() const { return rate_.misses(); }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-  [[nodiscard]] std::uint64_t invalidations() const { return invalidations_; }
-  /// Resident bytes of the cache store (bytes-of-state-per-flow
-  /// accounting; see bench/abl_macro_scale).
-  [[nodiscard]] std::size_t state_bytes() const {
-    return slots_cap_ * sizeof(Slot) +
-           buckets_.capacity() * sizeof(std::uint32_t);
-  }
-
- private:
-  static constexpr std::uint32_t kNil = 0xffffffffU;
-  /// Marks a free slot (stored in lru_prev; an occupied slot's lru_prev
-  /// is a slot index or kNil, never this).
-  static constexpr std::uint32_t kFreeMark = 0xfffffffeU;
-  /// Tombstone in the open-addressed bucket index.
-  static constexpr std::uint32_t kTomb = 0xfffffffdU;
-  /// Slab chunks grow in a shallow geometric sequence — four chunks per
-  /// size doubling (8, 8, 8, 8, 16, 16, ... slots) — so near-idle caches
-  /// stay tiny and a cache sampled mid-growth carries at most ~25%
-  /// allocated-but-unused slot slack; see the matching scheme in
-  /// net/conn_table.hpp.
-  static constexpr std::uint32_t kFirstChunkSlots = 8;
-  static constexpr std::uint32_t kChunksPerDoubling = 4;
-
-  /// 64 bytes.  The LRU links double as slot lifecycle state: lru_prev
-  /// is kFreeMark while the slot is free, and a free slot's lru_next is
-  /// the free-list link — no dedicated occupancy or chain fields.
-  struct Slot {
-    CachedPath path;
-    FlowKey key;
-    std::uint32_t lru_prev = kFreeMark;  ///< kFreeMark while free
-    std::uint32_t lru_next = kNil;       ///< free-list link while free
-
-    [[nodiscard]] bool occupied() const { return lru_prev != kFreeMark; }
-  };
-
-  /// Slot s lives in the chunk whose base is the largest <= s (reverse
-  /// scan: chunks are few and hot slots sit in the last ones).
-  [[nodiscard]] std::pair<std::size_t, std::size_t> chunk_of(
-      std::uint32_t s) const {
-    std::size_t c = chunk_bases_.size() - 1;
-    while (chunk_bases_[c] > s) --c;
-    return {c, s - chunk_bases_[c]};
-  }
-  [[nodiscard]] Slot& slot(std::uint32_t s) {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
-  [[nodiscard]] const Slot& slot(std::uint32_t s) const {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
-  /// Slot holding `key`, or kNil.
-  [[nodiscard]] std::uint32_t find_slot(const FlowKey& key) const;
-
-  std::uint32_t alloc_slot();
-  void lru_unlink(std::uint32_t s);
-  void lru_push_front(std::uint32_t s);
-  void erase_slot(std::uint32_t s);
-  void bucket_insert(std::uint32_t s);
-  void bucket_erase(std::uint32_t s);
-  /// Rebuilds the open-addressed bucket index at a 70% load factor once
-  /// live entries + tombstones pass 85% (same scheme and rationale as
-  /// net/conn_table.cpp: non-power-of-two sizing, because pow2 rounding
-  /// dominated resident bytes at per-stack populations).
-  void maybe_grow_buckets();
-
-  std::size_t capacity_;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<std::uint32_t> chunk_bases_;  ///< first slot of each chunk
-  std::uint32_t slots_used_ = 0;
-  std::uint32_t slots_cap_ = 0;  ///< slots allocated across chunks
-  std::uint32_t free_head_ = kNil;
-  /// Open-addressed slot index: slot ref, kNil empty, kTomb erased.
-  std::vector<std::uint32_t> buckets_;
-  std::size_t bucket_dead_ = 0;  ///< tombstones in buckets_
-  std::uint32_t lru_head_ = kNil;  ///< most recently used
-  std::uint32_t lru_tail_ = kNil;  ///< least recently used
-  std::size_t size_ = 0;
-  std::uint64_t generation_ = 1;
-  sim::HitRateCounter rate_;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t invalidations_ = 0;
 };
 
 }  // namespace nestv::net::flowcache

@@ -38,9 +38,8 @@
 //   route-table edit               | routes_gen stamp check at hit time
 //   cache disable                  | invalidate_all + pending reset
 //
-// Storage is the same chunked-slab + open-addressed-bucket + intrusive-LRU
-// scheme as net/flowcache (SlabCache below, a template over key/path), so
-// entries are compact: no string interface names, fixed-width stamps.
+// Storage is the slab LRU table net/flowcache uses (net/slab_table.hpp),
+// so entries are compact: no string interface names, fixed-width stamps.
 //
 // Recording happens on the slow path only (so the first packet of a flow
 // pays full price and teaches the cache), threaded through the async chain
@@ -68,6 +67,7 @@
 #include "net/flowcache/flow_key.hpp"
 #include "net/netfilter.hpp"
 #include "net/packet.hpp"
+#include "net/slab_table.hpp"
 #include "net/stack_backend.hpp"
 #include "sim/cost_model.hpp"
 
@@ -143,258 +143,10 @@ struct IngressPath {
   std::int16_t out_port = -1;  ///< overlay bridge port of the target veth
 };
 
-/// The flowcache storage scheme (chunked slab + open-addressed bucket
-/// index + intrusive LRU; see net/flowcache/flowcache.hpp for the full
-/// rationale) as a template, so the egress and ingress tables share one
-/// implementation.  `Path` must carry a std::uint16_t `generation` field.
+/// Egress and ingress tables: the shared slab LRU table, also behind
+/// net/flowcache.
 template <typename Key, typename Path, typename Hash>
-class SlabCache {
- public:
-  explicit SlabCache(std::size_t capacity) : capacity_(capacity) {
-    buckets_.assign(32, kNil);
-  }
-
-  [[nodiscard]] const Path* lookup(const Key& key) {
-    const std::uint32_t s = find_slot(key);
-    if (s == kNil) {
-      ++misses_;
-      return nullptr;
-    }
-    if (slot(s).path.generation != static_cast<std::uint16_t>(generation_)) {
-      erase_slot(s);  // stamped before the last invalidate_all()
-      ++misses_;
-      return nullptr;
-    }
-    lru_unlink(s);
-    lru_push_front(s);
-    ++hits_;
-    return &slot(s).path;
-  }
-
-  [[nodiscard]] const Path* peek(const Key& key) const {
-    const std::uint32_t s = find_slot(key);
-    if (s == kNil ||
-        slot(s).path.generation != static_cast<std::uint16_t>(generation_)) {
-      return nullptr;
-    }
-    return &slot(s).path;
-  }
-
-  void insert(const Key& key, Path path) {
-    path.generation = static_cast<std::uint16_t>(generation_);
-    const std::uint32_t existing = find_slot(key);
-    if (existing != kNil) {
-      slot(existing).path = std::move(path);
-      lru_unlink(existing);
-      lru_push_front(existing);
-      return;
-    }
-    if (size_ >= capacity_ && lru_tail_ != kNil) {
-      erase_slot(lru_tail_);
-      ++evictions_;
-    }
-    const std::uint32_t s = alloc_slot();
-    Slot& sl = slot(s);
-    sl.key = key;
-    sl.path = std::move(path);
-    bucket_insert(s);
-    lru_push_front(s);
-    ++size_;
-  }
-
-  void invalidate(const Key& key) {
-    const std::uint32_t s = find_slot(key);
-    if (s == kNil) return;
-    erase_slot(s);
-    ++invalidations_;
-  }
-
-  /// Flushes entries matching `pred`, most-recent-first; returns the count.
-  std::size_t invalidate_if(
-      const std::function<bool(const Key&, const Path&)>& pred) {
-    std::size_t flushed = 0;
-    for (std::uint32_t s = lru_head_; s != kNil;) {
-      const std::uint32_t next = slot(s).lru_next;
-      if (pred(slot(s).key, slot(s).path)) {
-        erase_slot(s);
-        ++flushed;
-      }
-      s = next;
-    }
-    invalidations_ += flushed;
-    return flushed;
-  }
-
-  /// O(1) full flush via generation bump.
-  void invalidate_all() {
-    ++generation_;
-    invalidations_ += size_;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-  [[nodiscard]] std::uint64_t invalidations() const { return invalidations_; }
-  [[nodiscard]] std::size_t state_bytes() const {
-    return slots_cap_ * sizeof(Slot) +
-           buckets_.capacity() * sizeof(std::uint32_t);
-  }
-
- private:
-  static constexpr std::uint32_t kNil = 0xffffffffU;
-  static constexpr std::uint32_t kFreeMark = 0xfffffffeU;
-  static constexpr std::uint32_t kTomb = 0xfffffffdU;
-  static constexpr std::uint32_t kFirstChunkSlots = 8;
-  static constexpr std::uint32_t kChunksPerDoubling = 4;
-
-  struct Slot {
-    Path path;
-    Key key;
-    std::uint32_t lru_prev = kFreeMark;  ///< kFreeMark while free
-    std::uint32_t lru_next = kNil;       ///< free-list link while free
-
-    [[nodiscard]] bool occupied() const { return lru_prev != kFreeMark; }
-  };
-
-  [[nodiscard]] std::pair<std::size_t, std::size_t> chunk_of(
-      std::uint32_t s) const {
-    std::size_t c = chunk_bases_.size() - 1;
-    while (chunk_bases_[c] > s) --c;
-    return {c, s - chunk_bases_[c]};
-  }
-  [[nodiscard]] Slot& slot(std::uint32_t s) {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
-  [[nodiscard]] const Slot& slot(std::uint32_t s) const {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
-
-  [[nodiscard]] std::uint32_t find_slot(const Key& key) const {
-    const std::size_t n = buckets_.size();
-    for (std::size_t i = Hash{}(key) % n;; i = i + 1 == n ? 0 : i + 1) {
-      const std::uint32_t b = buckets_[i];
-      if (b == kNil) return kNil;
-      if (b != kTomb && slot(b).key == key) return b;
-    }
-  }
-
-  std::uint32_t alloc_slot() {
-    if (free_head_ != kNil) {
-      const std::uint32_t s = free_head_;
-      free_head_ = slot(s).lru_next;
-      return s;
-    }
-    if (slots_used_ == slots_cap_) {
-      const std::uint32_t n =
-          kFirstChunkSlots
-          << (static_cast<std::uint32_t>(chunks_.size()) / kChunksPerDoubling);
-      chunks_.push_back(std::make_unique<Slot[]>(n));
-      chunk_bases_.push_back(slots_cap_);
-      slots_cap_ += n;
-    }
-    return slots_used_++;
-  }
-
-  void lru_unlink(std::uint32_t s) {
-    Slot& sl = slot(s);
-    if (sl.lru_prev != kNil) {
-      slot(sl.lru_prev).lru_next = sl.lru_next;
-    } else {
-      lru_head_ = sl.lru_next;
-    }
-    if (sl.lru_next != kNil) {
-      slot(sl.lru_next).lru_prev = sl.lru_prev;
-    } else {
-      lru_tail_ = sl.lru_prev;
-    }
-    sl.lru_prev = sl.lru_next = kNil;
-  }
-
-  void lru_push_front(std::uint32_t s) {
-    Slot& sl = slot(s);
-    sl.lru_prev = kNil;
-    sl.lru_next = lru_head_;
-    if (lru_head_ != kNil) slot(lru_head_).lru_prev = s;
-    lru_head_ = s;
-    if (lru_tail_ == kNil) lru_tail_ = s;
-  }
-
-  void erase_slot(std::uint32_t s) {
-    bucket_erase(s);
-    lru_unlink(s);
-    Slot& sl = slot(s);
-    sl.lru_prev = kFreeMark;
-    sl.lru_next = free_head_;  // reused as the free-list link
-    free_head_ = s;
-    --size_;
-  }
-
-  void bucket_insert(std::uint32_t s) {
-    maybe_grow_buckets();
-    const std::size_t n = buckets_.size();
-    for (std::size_t i = Hash{}(slot(s).key) % n;;
-         i = i + 1 == n ? 0 : i + 1) {
-      std::uint32_t& b = buckets_[i];
-      if (b == kNil || b == kTomb) {
-        if (b == kTomb) --bucket_dead_;
-        b = s;
-        return;
-      }
-    }
-  }
-
-  void bucket_erase(std::uint32_t s) {
-    const std::size_t n = buckets_.size();
-    for (std::size_t i = Hash{}(slot(s).key) % n;;
-         i = i + 1 == n ? 0 : i + 1) {
-      if (buckets_[i] == s) {
-        buckets_[i] = kTomb;
-        ++bucket_dead_;
-        return;
-      }
-    }
-  }
-
-  void maybe_grow_buckets() {
-    if ((size_ + bucket_dead_ + 1) * 20 < buckets_.size() * 17) return;
-    std::size_t n = size_ * 10 / 7 + 1;
-    if (n < 32) n = 32;
-    buckets_.assign(n, kNil);
-    buckets_.shrink_to_fit();
-    bucket_dead_ = 0;
-    for (std::uint32_t s = 0; s < slots_used_; ++s) {
-      if (!slot(s).occupied()) continue;
-      for (std::size_t i = Hash{}(slot(s).key) % n;;
-           i = i + 1 == n ? 0 : i + 1) {
-        if (buckets_[i] == kNil) {
-          buckets_[i] = s;
-          break;
-        }
-      }
-    }
-  }
-
-  std::size_t capacity_;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<std::uint32_t> chunk_bases_;
-  std::uint32_t slots_used_ = 0;
-  std::uint32_t slots_cap_ = 0;
-  std::uint32_t free_head_ = kNil;
-  std::vector<std::uint32_t> buckets_;
-  std::size_t bucket_dead_ = 0;
-  std::uint32_t lru_head_ = kNil;
-  std::uint32_t lru_tail_ = kNil;
-  std::size_t size_ = 0;
-  std::uint64_t generation_ = 1;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t invalidations_ = 0;
-};
+using SlabCache = slab::LruTable<Key, Path, Hash>;
 
 class OnCache;
 

@@ -48,7 +48,9 @@ struct DatacenterMacroConfig {
   sim::CostModel costs = {};
 };
 
-struct DatacenterMacroResult {
+/// The sim::ConductorStats base carries the conductor's epoch-loop
+/// counters (execution shape, like the fields at the end).
+struct DatacenterMacroResult : sim::ConductorStats {
   // ---- simulated outputs: identical for every shards/max_workers ------
   double rr_transactions = 0;
   double rr_latency_ns_sum = 0;
@@ -65,16 +67,6 @@ struct DatacenterMacroResult {
   int shards = 1;
   unsigned worker_threads = 1;
   std::vector<std::uint64_t> per_shard_events;
-  std::uint64_t epochs = 0;
-  std::uint64_t cross_posts = 0;
-  /// Epochs whose drain barrier was skipped (no cross-shard mail posted).
-  std::uint64_t fused_epochs = 0;
-  /// Mail items delivered out of cross-shard boxes.
-  std::uint64_t drained_posts = 0;
-  /// Per-shard count of epoch windows that executed zero events.
-  std::vector<std::uint64_t> idle_windows;
-  /// Per-worker barrier wait (wall clock: host-dependent, never gated).
-  std::vector<std::uint64_t> barrier_wait_ns;
   double wall_seconds = 0;  ///< host wall clock of the traffic phase
 };
 

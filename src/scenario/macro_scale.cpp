@@ -775,13 +775,7 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   }
   out.events_total = conductor.total_events();
   out.per_shard_events = conductor.per_shard_events();
-  const sim::ConductorStats cstats = conductor.stats();
-  out.epochs = cstats.epochs;
-  out.cross_posts = conductor.cross_posts();
-  out.fused_epochs = cstats.fused_epochs;
-  out.drained_posts = cstats.drained_posts;
-  out.idle_windows = cstats.idle_windows;
-  out.barrier_wait_ns = cstats.barrier_wait_ns;
+  static_cast<sim::ConductorStats&>(out) = conductor.stats();
   return out;
 }
 

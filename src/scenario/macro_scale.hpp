@@ -93,7 +93,9 @@ struct MacroScaleConfig {
   sim::CostModel costs = {};
 };
 
-struct MacroScaleResult {
+/// The sim::ConductorStats base carries the conductor's epoch-loop
+/// counters (execution shape, like the fields at the end).
+struct MacroScaleResult : sim::ConductorStats {
   // ---- simulated outputs: identical for every shards/max_workers ------
   double flows_completed = 0;
   double rr_transactions = 0;
@@ -137,19 +139,6 @@ struct MacroScaleResult {
   int shards = 1;
   unsigned worker_threads = 1;
   std::vector<std::uint64_t> per_shard_events;
-  std::uint64_t epochs = 0;
-  std::uint64_t cross_posts = 0;
-  /// Epochs whose drain barrier was skipped because no shard posted
-  /// cross-shard mail (sim/sharded_conductor.hpp fused-epoch protocol).
-  std::uint64_t fused_epochs = 0;
-  /// Mail items actually delivered out of cross-shard boxes (equals
-  /// cross_posts once the run quiesces).
-  std::uint64_t drained_posts = 0;
-  /// Per-shard count of epoch windows that executed zero events.
-  std::vector<std::uint64_t> idle_windows;
-  /// Per-worker nanoseconds spent waiting at epoch barriers (wall clock:
-  /// host-dependent, never gate it).
-  std::vector<std::uint64_t> barrier_wait_ns;
   double wall_seconds = 0;
 };
 

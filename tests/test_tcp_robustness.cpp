@@ -182,17 +182,21 @@ TEST(TcpCc, WindowAccessorWithoutCc) {
 
 // ---- property sweep: all bytes always arrive, any loss rate, any seed -------
 
+// gtest names each case after the raw bytes of its param, so the struct must
+// have no padding: uninitialised padding bytes made the case names differ from
+// run to run.  `cc` is a 0/1 flag held in a full word for that reason.
 struct LossCase {
   double loss;
-  bool cc;
+  std::uint64_t cc;
   std::uint64_t seed;
 };
+static_assert(sizeof(LossCase) == 24, "LossCase must stay padding-free");
 
 class LossSweep : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(LossSweep, ExactDeliveryAlways) {
   const auto param = GetParam();
-  LossFixture f(param.loss, param.cc, param.seed);
+  LossFixture f(param.loss, param.cc != 0, param.seed);
   const auto [received, retx] = f.transfer(50000, sim::seconds(120));
   (void)retx;
   ASSERT_EQ(received, 50000u)
