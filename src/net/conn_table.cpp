@@ -2,6 +2,30 @@
 
 namespace nestv::net {
 
+namespace {
+
+/// Index tag bit that passes every key: set on the buckets an erase
+/// leaves behind for its slot, whose next owner carries another summary.
+constexpr std::uint8_t kWildcard = 0x80;
+
+/// 4-bit digest of a tuple's hash; a slot's summary tag carries the
+/// digest of its orig tuple in bits 0-3 and three bits of its reply
+/// tuple's in bits 4-6.
+[[nodiscard]] std::uint8_t digest(std::size_t hash) {
+  return slab::hash_tag(hash) >> 4;
+}
+
+/// Index tag filter for a key with digest `d`.
+struct Accepts {
+  std::uint8_t d;
+  bool operator()(std::uint8_t tag) const {
+    return (tag & kWildcard) != 0 || (tag & 0xf) == d ||
+           ((tag >> 4) & 7) == (d & 7);
+  }
+};
+
+}  // namespace
+
 std::size_t ConnKeyHash::operator()(const ConnKey& k) const noexcept {
   std::uint64_t h = k.src_ip.value();
   h = h * 0x9e3779b97f4a7c15ULL + k.dst_ip.value();
@@ -28,9 +52,16 @@ bool ConnTable::slot_has_tuple(std::uint32_t s, const ConnKey& key) const {
   return sl.entry.orig == key || (sl.entry.confirmed && sl.entry.reply == key);
 }
 
+std::uint8_t ConnTable::summary(const ConnEntry& e) {
+  const std::uint8_t o = digest(ConnKeyHash{}(e.orig));
+  const std::uint8_t r = e.confirmed ? digest(ConnKeyHash{}(e.reply)) : o;
+  return static_cast<std::uint8_t>(o | ((r & 7) << 4));
+}
+
 ConnTable::Ref ConnTable::find(const ConnKey& key) {
+  const std::size_t hash = ConnKeyHash{}(key);
   const std::uint32_t s = index_.find(
-      ConnKeyHash{}(key),
+      hash, Accepts{digest(hash)},
       [this, &key](std::uint32_t b) { return slot_has_tuple(b, key); });
   if (s == slab::kNil) return {};
   Slot& sl = slots_[s];
@@ -58,7 +89,7 @@ ConnTable::Ref ConnTable::create(const ConnEntry& entry) {
   sl.entry = entry;
   sl.next_free = kOccupied;
   ++live_;
-  index_insert(entry.orig, s);
+  index_insert(entry.orig, summary(entry), s);
   port_add(entry.orig);
   return Ref{id_of(s, sl.gen), &sl.entry};
 }
@@ -66,15 +97,20 @@ ConnTable::Ref ConnTable::create(const ConnEntry& entry) {
 void ConnTable::register_reply(std::uint64_t id, const ConnKey& reply) {
   const std::uint32_t s = slot_of(id);
   if (s == slab::kNil) return;
+  // Confirmation changed the slot's summary: re-tag the buckets it has.
+  const std::uint8_t tag = summary(slots_[s].entry);
+  const std::size_t hash = ConnKeyHash{}(reply);
+  index_.retag(ConnKeyHash{}(slots_[s].entry.orig), s, tag);
+  index_.retag(hash, s, tag);
   // Already bound (reply == orig, or a re-confirmation): keep one binding,
   // re-pointing it at this connection like the map's operator[] did.
   if (index_.rebind(
-          ConnKeyHash{}(reply),
+          hash, Accepts{digest(hash)},
           [this, &reply](std::uint32_t b) { return slot_has_tuple(b, reply); },
-          s)) {
+          tag, s)) {
     return;
   }
-  index_insert(reply, s);
+  index_insert(reply, tag, s);
   port_add(reply);
 }
 
@@ -84,8 +120,12 @@ void ConnTable::erase(std::uint64_t id) {
   Slot& sl = slots_[s];
   // When a slot's two bindings share a probe window the bucket erased for
   // one tuple may be the other's — harmless, because both go back to back.
+  // Any further bucket of the slot (a rebuild duplicate) stays bound; it
+  // turns wildcard so that it keeps passing for the slot's next owner.
   each_tuple(sl.entry, [this, s](const ConnKey& k) {
-    index_.erase(ConnKeyHash{}(k), s);
+    const std::size_t hash = ConnKeyHash{}(k);
+    index_.erase(hash, s);
+    index_.retag(hash, s, kWildcard);
     port_remove(k);
   });
   ++sl.gen;
@@ -100,7 +140,8 @@ ConnTable::Ref ConnTable::at_slot(std::size_t i) {
   return Ref{id_of(static_cast<std::uint32_t>(i), sl.gen), &sl.entry};
 }
 
-void ConnTable::index_insert(const ConnKey& key, std::uint32_t s) {
+void ConnTable::index_insert(const ConnKey& key, std::uint8_t tag,
+                             std::uint32_t s) {
   if (index_.full()) {
     // Slot `s` is already live, so the rebuild binds its tuples too and
     // the insert below binds `key` a second time.  Lookups verify the
@@ -109,12 +150,12 @@ void ConnTable::index_insert(const ConnKey& key, std::uint32_t s) {
     std::size_t tuples = 0;
     each_binding([&tuples](const ConnKey&, std::uint32_t) { ++tuples; });
     index_.rebuild(tuples, [this](const auto& place) {
-      each_binding([&place](const ConnKey& k, std::uint32_t b) {
-        place(ConnKeyHash{}(k), b);
+      each_binding([this, &place](const ConnKey& k, std::uint32_t b) {
+        place(ConnKeyHash{}(k), summary(slots_[b].entry), b);
       });
     });
   }
-  index_.insert(ConnKeyHash{}(key), s);
+  index_.insert(ConnKeyHash{}(key), tag, s);
 }
 
 bool ConnTable::port_in_use(L4Proto proto, Ipv4Address ip,

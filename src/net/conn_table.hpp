@@ -99,7 +99,9 @@ class ConnTable {
   /// kept because gated outputs depend on it: the re-bind adds no port
   /// count, and when the old owner still registers the tuple (an
   /// unconfirmed inbound flow) the next index rebuild, which re-inserts
-  /// in slot order, can resolve it to the old owner again.
+  /// in slot order, can resolve it to the old owner again.  Call it once
+  /// the entry is confirmed with entry.reply == `reply`, as netfilter's
+  /// confirmation does: the index tags follow the entry's tuples.
   void register_reply(std::uint64_t id, const ConnKey& reply);
 
   /// Erases the connection and both its tuples; no-op on a dead id.
@@ -141,6 +143,9 @@ class ConnTable {
   [[nodiscard]] std::uint32_t slot_of(std::uint64_t id) const;
   [[nodiscard]] bool slot_has_tuple(std::uint32_t s,
                                     const ConnKey& key) const;
+  /// Index tag of every bucket bound to a slot holding `e`: digests of
+  /// both tuples it registers (see conn_table.cpp).
+  [[nodiscard]] static std::uint8_t summary(const ConnEntry& e);
   /// Calls fn(tuple) for each tuple `e` registers: orig, plus the reply
   /// once confirmed (when it differs).
   template <typename Fn>
@@ -156,7 +161,7 @@ class ConnTable {
       each_tuple(slots_[s].entry, [&](const ConnKey& k) { fn(k, s); });
     }
   }
-  void index_insert(const ConnKey& key, std::uint32_t s);
+  void index_insert(const ConnKey& key, std::uint8_t tag, std::uint32_t s);
 
   [[nodiscard]] static std::uint64_t port_key(L4Proto proto, Ipv4Address ip,
                                               std::uint16_t port) {
@@ -171,6 +176,14 @@ class ConnTable {
   slab::Arena<Slot, &Slot::next_free> slots_;
   std::size_t live_ = 0;
   /// Tuple index over both directions; allocated on the first create().
+  /// Invariant: every bucket bound to slot s carries summary(s) or the
+  /// wildcard tag, so the tag filter never hides a slot that holds the
+  /// probed key.  create, rebuilds and rebinds write summary(s);
+  /// register_reply re-tags the slot's buckets, whose summary the
+  /// confirmation changed; erase wildcards the slot's buckets it leaves
+  /// bound.  A per-tuple tag would not do: a probe for either tuple may
+  /// stop at a bucket bound for the other (and the re-bind quirk above
+  /// leaves such bindings), and first-match order is pinned.
   slab::Index index_;
 
   /// Port-occupancy map, split into parallel arrays (12 bytes per bucket

@@ -48,4 +48,11 @@ std::size_t FlowCache::invalidate_conn(std::uint64_t ct_id) {
   });
 }
 
+std::size_t FlowCache::invalidate_conns(
+    std::span<const std::uint64_t> ct_ids) {
+  return invalidate_ids(ct_ids, [](const FlowKey&, const CachedPath& path) {
+    return path.ct_id;
+  });
+}
+
 }  // namespace nestv::net::flowcache

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "net/flowcache/flow_key.hpp"
@@ -99,6 +100,9 @@ class FlowCache : public slab::LruTable<FlowKey, CachedPath, FlowKeyHash> {
   std::size_t invalidate_ifindex(int ifindex);
   /// Conntrack expiry: flushes entries backed by connection `ct_id`.
   std::size_t invalidate_conn(std::uint64_t ct_id);
+  /// Conntrack GC: invalidate_conn for each of `ct_ids` in order, in one
+  /// walk (see LruTable::invalidate_ids).
+  std::size_t invalidate_conns(std::span<const std::uint64_t> ct_ids);
 };
 
 }  // namespace nestv::net::flowcache

@@ -293,10 +293,11 @@ std::size_t OnCache::invalidate_egress_ifindex(int ifindex) {
   return flushed;
 }
 
-std::size_t OnCache::invalidate_conn(std::uint64_t ct_id) {
-  return egress_.invalidate_if(
-      [ct_id](const flowcache::FlowKey&, const EgressPath& path) {
-        return path.ct_id == ct_id;
+std::size_t OnCache::invalidate_conns(
+    std::span<const std::uint64_t> ct_ids) {
+  return egress_.invalidate_ids(
+      ct_ids, [](const flowcache::FlowKey&, const EgressPath& path) {
+        return path.ct_id;
       });
 }
 

@@ -33,7 +33,7 @@
 //                                  | listener installed by CachedBridge)
 //   NIC hot-unplug                 | invalidate_egress_ifindex (+ full
 //                                  | ingress flush when it is the uplink)
-//   conntrack GC reap              | invalidate_conn (egress entries carry
+//   conntrack GC reap              | invalidate_conns (egress entries carry
 //                                  | the outer connection's ct_id)
 //   route-table edit               | routes_gen stamp check at hit time
 //   cache disable                  | invalidate_all + pending reset
@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -276,8 +277,9 @@ class OnCache {
   /// NIC hot-unplug: flush egress entries leaving `ifindex`; when it is
   /// the VTEP's uplink the ingress table goes too (nothing can arrive).
   std::size_t invalidate_egress_ifindex(int ifindex);
-  /// Conntrack GC reaped the outer connection backing an egress entry.
-  std::size_t invalidate_conn(std::uint64_t ct_id);
+  /// Conntrack GC reaped the outer connections backing egress entries
+  /// (in reap order; see LruTable::invalidate_ids).
+  std::size_t invalidate_conns(std::span<const std::uint64_t> ct_ids);
   void invalidate_all();
 
   // ---- statistics -------------------------------------------------------

@@ -13,26 +13,34 @@
 //     that tracks three flows pays for 8 slots, and a table sampled
 //     mid-growth carries at most ~25% allocated-but-unused slack, where
 //     plain doubling averages ~2x that.
-//   * Index: one open-addressed array of untagged 4-byte slot refs with
-//     linear probing and tombstones.  Probes ask the owner whether a slot
-//     holds the key, so one slot may be bound under several keys
-//     (conntrack's orig and reply tuples).  The array is rebuilt to 70%
-//     load once live + tombstones pass 85%, at a *non-power-of-two* size:
-//     pow2 rounding lands a table anywhere between 2x and 4x its element
-//     count, and at per-stack populations that waste alone was a
-//     double-digit share of all conntrack bytes.  The modulo is paid once
-//     per lookup (one hash, then linear steps).
+//   * Index: one open-addressed array of 4-byte buckets (8-bit tag,
+//     24-bit slot ref) with linear probing and tombstones.  Probes ask the
+//     owner whether a slot holds the key, so one slot may be bound under
+//     several keys (conntrack's orig and reply tuples), but only for
+//     buckets whose tag passes the owner's filter: at 70-85% load most
+//     buckets a probe passes belong to other keys, and the tag spares
+//     their slot loads, which land in arena chunks far from the index.
+//     The array is rebuilt to 70% load once live + tombstones pass 85%,
+//     at a *non-power-of-two* size: pow2 rounding lands a table anywhere
+//     between 2x and 4x its element count, and at per-stack populations
+//     that waste alone was a double-digit share of all conntrack bytes.
+//     The modulo is paid once per lookup (one hash, then linear steps).
 //   * LruTable: arena + index + an intrusive LRU list threaded through the
 //     slots, with generation-stamped O(1) flush (the two flow caches).
 //
 // Allocation order, rebuild timing and rebuild order (slot order) are
 // part of the contract, not just the footprint: conntrack ids, GC order
 // and every state_bytes() figure in the gated benches follow from them.
+// So is the order in which entries are erased, since it sets the free
+// list and with it which slots the next inserts reuse.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -44,6 +52,30 @@ namespace nestv::net::slab {
 inline constexpr std::uint32_t kNil = 0xffffffffU;
 /// Smallest index array, and the flow caches' eager starting size.
 inline constexpr std::size_t kMinBuckets = 32;
+
+/// Index buckets pack an 8-bit tag above a 24-bit slot ref.  The two top
+/// refs spell the empty and tombstone buckets, so a table indexes at most
+/// kMaxSlots slots.
+inline constexpr unsigned kTagShift = 24;
+inline constexpr std::uint32_t kRefMask = (1U << kTagShift) - 1;
+inline constexpr std::uint32_t kMaxSlots = kRefMask - 1;
+
+/// One index bucket.  Throws rather than let a slot past kMaxSlots alias
+/// another slot (or the empty / tombstone markers).
+[[nodiscard]] inline std::uint32_t bucket_of(std::uint8_t tag,
+                                             std::uint32_t slot) {
+  if (slot >= kMaxSlots) {
+    throw std::length_error("slab::Index: slot ref does not fit 24 bits");
+  }
+  return (std::uint32_t{tag} << kTagShift) | slot;
+}
+
+/// Top byte of a multiplicative remix of `hash`: owner hashes need not mix
+/// their top bits (FlowKeyHash's ignore the ports), so tags come from here.
+[[nodiscard]] constexpr std::uint8_t hash_tag(std::size_t hash) {
+  return static_cast<std::uint8_t>(
+      (std::uint64_t{hash} * 0x9e3779b97f4a7c15ULL) >> 56);
+}
 
 /// Open-addressed array size that holds `live` entries at 70% load.
 [[nodiscard]] constexpr std::size_t sized_for(std::size_t live) {
@@ -119,26 +151,33 @@ class Arena {
   std::uint32_t free_head_ = kNil;
 };
 
-/// Open-addressed slot index.  `holds(slot)` callbacks decide key
-/// equality against the owner's slots; hashes are the owner's too.
+/// Open-addressed slot index of 4-byte buckets: an 8-bit tag over a
+/// 24-bit slot ref.  Probes call the owner's `holds(slot)` (key equality
+/// against the owner's slots; hashes are the owner's too) only for
+/// buckets whose tag passes the owner's `accepts(tag)`, so most buckets a
+/// probe walks past cost no slot load.  Owners choose the tag; the one
+/// rule is that a bucket's tag must pass for every key its slot holds.
 class Index {
  public:
   /// `buckets` = 0 defers allocation to the first insert.
-  explicit Index(std::size_t buckets = 0) : buckets_(buckets, kNil) {}
+  explicit Index(std::size_t buckets = 0) : buckets_(buckets, kEmpty) {}
 
-  /// First slot in `hash`'s probe chain for which holds(slot), or kNil.
-  template <typename Holds>
-  [[nodiscard]] std::uint32_t find(std::size_t hash,
+  /// First slot in `hash`'s probe chain whose bucket tag passes and for
+  /// which holds(slot), or kNil.
+  template <typename Accepts, typename Holds>
+  [[nodiscard]] std::uint32_t find(std::size_t hash, const Accepts& accepts,
                                    const Holds& holds) const {
-    const std::size_t i = position(hash, holds);
-    return i == kNoPos ? kNil : buckets_[i];
+    const std::size_t i = position(hash, accepts, holds);
+    return i == kNoPos ? kNil : buckets_[i] & kRefMask;
   }
-  /// Re-points the binding find() would return at `s`; false if none.
-  template <typename Holds>
-  bool rebind(std::size_t hash, const Holds& holds, std::uint32_t s) {
-    const std::size_t i = position(hash, holds);
+  /// Re-points the binding find() would return at (`tag`, `s`); false if
+  /// none.
+  template <typename Accepts, typename Holds>
+  bool rebind(std::size_t hash, const Accepts& accepts, const Holds& holds,
+              std::uint8_t tag, std::uint32_t s) {
+    const std::size_t i = position(hash, accepts, holds);
     if (i == kNoPos) return false;
-    buckets_[i] = s;
+    buckets_[i] = bucket_of(tag, s);
     return true;
   }
 
@@ -146,29 +185,31 @@ class Index {
   [[nodiscard]] bool full() const {
     return wants_grow(live_, dead_, buckets_.size());
   }
-  /// Binds `s` in the first empty or tombstoned bucket of its chain.
-  void insert(std::size_t hash, std::uint32_t s) {
+  /// Binds `s` under `tag` in the first empty or tombstoned bucket of its
+  /// chain.
+  void insert(std::size_t hash, std::uint8_t tag, std::uint32_t s) {
+    const std::uint32_t bound = bucket_of(tag, s);
     const std::size_t n = buckets_.size();
     for (std::size_t i = hash % n;; i = step(i, n)) {
       std::uint32_t& b = buckets_[i];
-      if (b == kNil || b == kTomb) {
+      if (b == kEmpty || b == kTomb) {
         if (b == kTomb) --dead_;
-        b = s;
+        b = bound;
         ++live_;
         return;
       }
     }
   }
   /// Tombstones the first bucket holding `s` in `hash`'s probe chain.
-  /// Slot identity, not key equality, picks the bucket: a key re-bound
-  /// to another slot survives its old owner's erase.
+  /// Slot identity, not key equality (nor the tag), picks the bucket: a
+  /// key re-bound to another slot survives its old owner's erase.
   void erase(std::size_t hash, std::uint32_t s) {
     const std::size_t n = buckets_.size();
     if (n == 0) return;
     for (std::size_t i = hash % n;; i = step(i, n)) {
       std::uint32_t& b = buckets_[i];
-      if (b == kNil) return;
-      if (b == s) {
+      if (b == kEmpty) return;
+      if ((b & kRefMask) == s) {
         b = kTomb;
         --live_;
         ++dead_;
@@ -176,20 +217,32 @@ class Index {
       }
     }
   }
+  /// Rewrites the tag of every bucket holding `s` in `hash`'s probe chain.
+  void retag(std::size_t hash, std::uint32_t s, std::uint8_t tag) {
+    const std::size_t n = buckets_.size();
+    if (n == 0) return;
+    const std::uint32_t bound = bucket_of(tag, s);
+    for (std::size_t i = hash % n;; i = step(i, n)) {
+      std::uint32_t& b = buckets_[i];
+      if (b == kEmpty) return;
+      if ((b & kRefMask) == s) b = bound;
+    }
+  }
   /// Reallocates at 70% load for `count` bindings and drops tombstones;
-  /// `each(place)` must call place(hash, slot) for every binding, in the
-  /// order they should land.
+  /// `each(place)` must call place(hash, tag, slot) for every binding, in
+  /// the order they should land.
   template <typename Each>
   void rebuild(std::size_t count, const Each& each) {
     const std::size_t n = sized_for(count);
-    buckets_.assign(n, kNil);
+    buckets_.assign(n, kEmpty);
     buckets_.shrink_to_fit();
     live_ = 0;
     dead_ = 0;
-    each([this, n](std::size_t hash, std::uint32_t s) {
+    each([this, n](std::size_t hash, std::uint8_t tag, std::uint32_t s) {
+      const std::uint32_t bound = bucket_of(tag, s);
       std::size_t i = hash % n;
-      while (buckets_[i] != kNil) i = step(i, n);
-      buckets_[i] = s;
+      while (buckets_[i] != kEmpty) i = step(i, n);
+      buckets_[i] = bound;
       ++live_;
     });
   }
@@ -199,21 +252,25 @@ class Index {
   }
 
  private:
+  static constexpr std::uint32_t kEmpty = 0xffffffffU;
   static constexpr std::uint32_t kTomb = 0xfffffffeU;
   static constexpr std::size_t kNoPos = ~std::size_t{0};
 
   [[nodiscard]] static std::size_t step(std::size_t i, std::size_t n) {
     return i + 1 == n ? 0 : i + 1;
   }
-  template <typename Holds>
-  [[nodiscard]] std::size_t position(std::size_t hash,
+  template <typename Accepts, typename Holds>
+  [[nodiscard]] std::size_t position(std::size_t hash, const Accepts& accepts,
                                      const Holds& holds) const {
     const std::size_t n = buckets_.size();
     if (n == 0) return kNoPos;
     for (std::size_t i = hash % n;; i = step(i, n)) {
       const std::uint32_t b = buckets_[i];
-      if (b == kNil) return kNoPos;
-      if (b != kTomb && holds(b)) return i;
+      if (b == kEmpty) return kNoPos;
+      if (accepts(static_cast<std::uint8_t>(b >> kTagShift)) && b != kTomb &&
+          holds(b & kRefMask)) {
+        return i;
+      }
     }
   }
 
@@ -262,7 +319,8 @@ class LruTable {
   /// evicting the least-recently-used entry (stale or not) when full.
   void insert(const Key& key, Path path) {
     path.generation = static_cast<std::uint16_t>(generation_);
-    const std::uint32_t existing = find_slot(key);
+    const std::size_t hash = Hash{}(key);
+    const std::uint32_t existing = find_slot(key, hash);
     if (existing != kNil) {
       slots_[existing].path = std::move(path);
       lru_unlink(existing);
@@ -278,7 +336,7 @@ class LruTable {
     sl.key = key;
     sl.path = std::move(path);
     if (index_.full()) reindex();
-    index_.insert(Hash{}(key), s);
+    index_.insert(hash, hash_tag(hash), s);
     lru_push_front(s);
     ++size_;
   }
@@ -306,6 +364,41 @@ class LruTable {
     }
     invalidations_ += flushed;
     return flushed;
+  }
+  /// Flushes the entries whose id_of(key, path) is in `ids`: ids[0]'s
+  /// entries most-recent-first, then ids[1]'s, and so on.  These are the
+  /// erasures, in the same order, of one invalidate_if per id, so the free
+  /// list (and with it slot reuse and rebuild timing) comes out identical,
+  /// for one LRU walk instead of ids.size().  Returns the count.
+  template <typename IdOf>
+  std::size_t invalidate_ids(std::span<const std::uint64_t> ids,
+                             const IdOf& id_of) {
+    if (ids.empty() || size_ == 0) return 0;
+    // (id, position in ids), sorted: lower_bound finds a repeated id's
+    // first position, and the per-id loop's later calls flushed nothing.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> rank;
+    rank.reserve(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      rank.emplace_back(ids[i], static_cast<std::uint32_t>(i));
+    }
+    std::sort(rank.begin(), rank.end());
+    // (rank, slot) of every match, in LRU order.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> doomed;
+    for (std::uint32_t s = lru_head_; s != kNil; s = slots_[s].lru_next) {
+      const std::uint64_t id = id_of(slots_[s].key, slots_[s].path);
+      const auto it = std::lower_bound(
+          rank.begin(), rank.end(), id,
+          [](const auto& r, std::uint64_t v) { return r.first < v; });
+      if (it != rank.end() && it->first == id) {
+        doomed.emplace_back(it->second, s);
+      }
+    }
+    std::stable_sort(
+        doomed.begin(), doomed.end(),
+        [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [r, s] : doomed) erase_slot(s);
+    invalidations_ += doomed.size();
+    return doomed.size();
   }
   /// O(1) full flush: bumps the generation; stale entries stay resident
   /// until a lookup or eviction reaps them.
@@ -344,17 +437,26 @@ class LruTable {
     return slots_[s].path.generation !=
            static_cast<std::uint16_t>(generation_);
   }
+  /// The tag is a hash remix, and holds() plain key equality, so a tag
+  /// mismatch is an exact miss.
+  [[nodiscard]] std::uint32_t find_slot(const Key& key,
+                                        std::size_t hash) const {
+    const std::uint8_t tag = hash_tag(hash);
+    return index_.find(
+        hash, [tag](std::uint8_t t) { return t == tag; },
+        [this, &key](std::uint32_t s) { return slots_[s].key == key; });
+  }
   [[nodiscard]] std::uint32_t find_slot(const Key& key) const {
-    return index_.find(Hash{}(key), [this, &key](std::uint32_t s) {
-      return slots_[s].key == key;
-    });
+    return find_slot(key, Hash{}(key));
   }
   /// Rebinds every occupied slot in slot order (the slot being inserted
   /// is not yet linked, so it is not among them).
   void reindex() {
     index_.rebuild(size_, [this](const auto& place) {
       for (std::uint32_t s = 0; s < slots_.used(); ++s) {
-        if (slots_[s].lru_prev != kFreeMark) place(Hash{}(slots_[s].key), s);
+        if (slots_[s].lru_prev == kFreeMark) continue;
+        const std::size_t hash = Hash{}(slots_[s].key);
+        place(hash, hash_tag(hash), s);
       }
     });
   }

@@ -824,12 +824,10 @@ void FullStack::record_flow(const flowcache::FlowKey& key, const Packet& p,
 
 std::size_t FullStack::conntrack_gc(sim::Duration idle_timeout) {
   const auto reaped = nf_.gc(engine_->now(), idle_timeout);
-  for (const std::uint64_t id : reaped) {
-    fcache_.invalidate_conn(id);
-    // Overlay egress entries carry the outer connection's ct_id; a cached
-    // entry must never outlive its conntrack backing.
-    if (oncache_ != nullptr) oncache_->invalidate_conn(id);
-  }
+  fcache_.invalidate_conns(reaped);
+  // Overlay egress entries carry the outer connection's ct_id; a cached
+  // entry must never outlive its conntrack backing.
+  if (oncache_ != nullptr) oncache_->invalidate_conns(reaped);
   return reaped.size();
 }
 

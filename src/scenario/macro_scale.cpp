@@ -719,9 +719,12 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   conductor.run_until(traffic_end);
   const auto wall1 = std::chrono::steady_clock::now();
   out.wall_seconds = std::chrono::duration<double>(wall1 - wall0).count();
+  // Break the self-capturing cycles (each closure owns its shared_ptr).
   for (auto& d : streams) {
-    if (d->send_chain != nullptr) *d->send_chain = nullptr;  // break cycle
+    if (d->send_chain != nullptr) *d->send_chain = nullptr;
   }
+  for (auto& t : ticks) *t = nullptr;
+  for (auto& p : pumps) *p = nullptr;
 
   // ---- aggregate, in machine / server order ----------------------------
   std::vector<std::pair<sim::TimePoint, int>> sweep;  // (t, 0=arrive 1=done)

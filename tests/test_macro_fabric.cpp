@@ -4,10 +4,13 @@
 // execution-mode equivalence (shards / worker counts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <optional>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -17,6 +20,7 @@
 #include "net/conn_table.hpp"
 #include "net/fabric_switch.hpp"
 #include "net/flowcache/flowcache.hpp"
+#include "net/oncache.hpp"
 #include "net/packet_pool.hpp"
 #include "net/slab_table.hpp"
 #include "scenario/macro_scale.hpp"
@@ -534,6 +538,581 @@ TEST(SlabTableContract, LruTableMatchesReferenceModel) {
       ASSERT_EQ(order, ref.order()) << at;
       ASSERT_EQ(table.invalidations(), ref.invalidations) << at;
     }
+  }
+}
+
+// ---- Tagged conntrack index: differential test against untagged probes ----
+//
+// The reference model is the conntrack table as it stood before index
+// buckets carried tags: every probe asks the slot.  The tagged ConnTable
+// must return the same ids, port answers and footprints after every
+// operation, including the re-bind quirk and rebuild duplicates.
+
+namespace untagged {
+
+using net::slab::kNil;
+
+/// The slab index with untagged 4-byte slot refs.
+class Index {
+ public:
+  template <typename Holds>
+  [[nodiscard]] std::uint32_t find(std::size_t hash,
+                                   const Holds& holds) const {
+    const std::size_t i = position(hash, holds);
+    return i == kNoPos ? kNil : buckets_[i];
+  }
+  template <typename Holds>
+  bool rebind(std::size_t hash, const Holds& holds, std::uint32_t s) {
+    const std::size_t i = position(hash, holds);
+    if (i == kNoPos) return false;
+    buckets_[i] = s;
+    return true;
+  }
+  [[nodiscard]] bool full() const {
+    return net::slab::wants_grow(live_, dead_, buckets_.size());
+  }
+  void insert(std::size_t hash, std::uint32_t s) {
+    const std::size_t n = buckets_.size();
+    for (std::size_t i = hash % n;; i = step(i, n)) {
+      std::uint32_t& b = buckets_[i];
+      if (b == kNil || b == kTomb) {
+        if (b == kTomb) --dead_;
+        b = s;
+        ++live_;
+        return;
+      }
+    }
+  }
+  void erase(std::size_t hash, std::uint32_t s) {
+    const std::size_t n = buckets_.size();
+    if (n == 0) return;
+    for (std::size_t i = hash % n;; i = step(i, n)) {
+      std::uint32_t& b = buckets_[i];
+      if (b == kNil) return;
+      if (b == s) {
+        b = kTomb;
+        --live_;
+        ++dead_;
+        return;
+      }
+    }
+  }
+  template <typename Each>
+  void rebuild(std::size_t count, const Each& each) {
+    const std::size_t n = net::slab::sized_for(count);
+    buckets_.assign(n, kNil);
+    buckets_.shrink_to_fit();
+    live_ = 0;
+    dead_ = 0;
+    each([this, n](std::size_t hash, std::uint32_t s) {
+      std::size_t i = hash % n;
+      while (buckets_[i] != kNil) i = step(i, n);
+      buckets_[i] = s;
+      ++live_;
+    });
+  }
+  [[nodiscard]] std::size_t bytes() const {
+    return buckets_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  static constexpr std::uint32_t kTomb = 0xfffffffeU;
+  static constexpr std::size_t kNoPos = ~std::size_t{0};
+
+  static std::size_t step(std::size_t i, std::size_t n) {
+    return i + 1 == n ? 0 : i + 1;
+  }
+  template <typename Holds>
+  std::size_t position(std::size_t hash, const Holds& holds) const {
+    const std::size_t n = buckets_.size();
+    if (n == 0) return kNoPos;
+    for (std::size_t i = hash % n;; i = step(i, n)) {
+      const std::uint32_t b = buckets_[i];
+      if (b == kNil) return kNoPos;
+      if (b != kTomb && holds(b)) return i;
+    }
+  }
+
+  std::vector<std::uint32_t> buckets_;
+  std::size_t live_ = 0;
+  std::size_t dead_ = 0;
+};
+
+/// ConnTable's storage, probing and port index over the untagged index.
+class ConnTable {
+ public:
+  struct Ref {
+    std::uint64_t id = 0;
+    net::ConnEntry* entry = nullptr;
+  };
+
+  Ref find(const net::ConnKey& key) {
+    const std::uint32_t s = index_.find(
+        net::ConnKeyHash{}(key),
+        [this, &key](std::uint32_t b) { return slot_has_tuple(b, key); });
+    if (s == kNil) return {};
+    return Ref{id_of(s, slots_[s].gen), &slots_[s].entry};
+  }
+  Ref find_id(std::uint64_t id) {
+    const std::uint32_t s = slot_of(id);
+    if (s == kNil) return {};
+    return Ref{id, &slots_[s].entry};
+  }
+  Ref create(const net::ConnEntry& entry) {
+    const std::uint32_t s = slots_.alloc();
+    Slot& sl = slots_[s];
+    sl.entry = entry;
+    sl.next_free = kOccupied;
+    index_insert(entry.orig, s);
+    port_add(entry.orig);
+    return Ref{id_of(s, sl.gen), &sl.entry};
+  }
+  void register_reply(std::uint64_t id, const net::ConnKey& reply) {
+    const std::uint32_t s = slot_of(id);
+    if (s == kNil) return;
+    if (index_.rebind(
+            net::ConnKeyHash{}(reply),
+            [this, &reply](std::uint32_t b) {
+              return slot_has_tuple(b, reply);
+            },
+            s)) {
+      return;
+    }
+    index_insert(reply, s);
+    port_add(reply);
+  }
+  void erase(std::uint64_t id) {
+    const std::uint32_t s = slot_of(id);
+    if (s == kNil) return;
+    Slot& sl = slots_[s];
+    each_tuple(sl.entry, [this, s](const net::ConnKey& k) {
+      index_.erase(net::ConnKeyHash{}(k), s);
+      port_remove(k);
+    });
+    ++sl.gen;
+    slots_.release(s);
+  }
+  bool port_in_use(net::L4Proto proto, net::Ipv4Address ip,
+                   std::uint16_t port) {
+    if (!ports_built_) {
+      ports_built_ = true;
+      each_binding(
+          [this](const net::ConnKey& k, std::uint32_t) { port_add(k); });
+    }
+    if (port_keys_.empty()) return false;
+    const std::uint64_t key = port_key(proto, ip, port);
+    const std::size_t n = port_keys_.size();
+    for (std::size_t i = port_hash(key) % n;; i = i + 1 == n ? 0 : i + 1) {
+      if (port_keys_[i] == 0) return false;
+      if (port_keys_[i] == key) return port_counts_[i] > 0;
+    }
+  }
+  [[nodiscard]] std::size_t state_bytes() const {
+    return slots_.bytes() + index_.bytes() +
+           port_keys_.capacity() * sizeof(std::uint64_t) +
+           port_counts_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  static constexpr std::uint32_t kOccupied = 0xfffffffeU;
+  struct Slot {
+    net::ConnEntry entry;
+    std::uint32_t gen = 0;
+    std::uint32_t next_free = kNil;
+  };
+
+  static std::uint64_t id_of(std::uint32_t s, std::uint32_t gen) {
+    return (std::uint64_t{gen} << 32) | (s + 1);
+  }
+  std::uint32_t slot_of(std::uint64_t id) const {
+    const auto s = static_cast<std::uint32_t>(id & 0xffffffffU) - 1;
+    if (s >= slots_.used()) return kNil;
+    const Slot& sl = slots_[s];
+    if (sl.next_free != kOccupied ||
+        sl.gen != static_cast<std::uint32_t>(id >> 32)) {
+      return kNil;
+    }
+    return s;
+  }
+  bool slot_has_tuple(std::uint32_t s, const net::ConnKey& key) const {
+    const Slot& sl = slots_[s];
+    if (sl.next_free != kOccupied) return false;
+    return sl.entry.orig == key ||
+           (sl.entry.confirmed && sl.entry.reply == key);
+  }
+  template <typename Fn>
+  static void each_tuple(const net::ConnEntry& e, const Fn& fn) {
+    fn(e.orig);
+    if (e.confirmed && !(e.reply == e.orig)) fn(e.reply);
+  }
+  template <typename Fn>
+  void each_binding(const Fn& fn) const {
+    for (std::uint32_t s = 0; s < slots_.used(); ++s) {
+      if (slots_[s].next_free != kOccupied) continue;
+      each_tuple(slots_[s].entry, [&](const net::ConnKey& k) { fn(k, s); });
+    }
+  }
+  void index_insert(const net::ConnKey& key, std::uint32_t s) {
+    if (index_.full()) {
+      std::size_t tuples = 0;
+      each_binding([&tuples](const net::ConnKey&, std::uint32_t) {
+        ++tuples;
+      });
+      index_.rebuild(tuples, [this](const auto& place) {
+        each_binding([&place](const net::ConnKey& k, std::uint32_t b) {
+          place(net::ConnKeyHash{}(k), b);
+        });
+      });
+    }
+    index_.insert(net::ConnKeyHash{}(key), s);
+  }
+
+  static std::uint64_t port_key(net::L4Proto proto, net::Ipv4Address ip,
+                                std::uint16_t port) {
+    return (std::uint64_t{ip.value()} << 24) | (std::uint64_t{port} << 8) |
+           static_cast<std::uint64_t>(proto) | (1ULL << 60);
+  }
+  static std::uint64_t port_hash(std::uint64_t key) {
+    const std::uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 29);
+  }
+  void port_add(const net::ConnKey& key) {
+    if (!ports_built_) return;
+    if (net::slab::wants_grow(ports_live_, ports_dead_, port_keys_.size())) {
+      port_grow();
+    }
+    const std::uint64_t pk = port_key(key.proto, key.dst_ip, key.dst_port);
+    const std::size_t n = port_keys_.size();
+    std::size_t tomb = ~std::size_t{0};
+    for (std::size_t i = port_hash(pk) % n;; i = i + 1 == n ? 0 : i + 1) {
+      const std::uint64_t k = port_keys_[i];
+      if (k == pk) {
+        ++port_counts_[i];
+        return;
+      }
+      if (k == ~0ULL && tomb == ~std::size_t{0}) tomb = i;
+      if (k == 0) {
+        const std::size_t dst = tomb != ~std::size_t{0} ? tomb : i;
+        if (tomb != ~std::size_t{0}) --ports_dead_;
+        port_keys_[dst] = pk;
+        port_counts_[dst] = 1;
+        ++ports_live_;
+        return;
+      }
+    }
+  }
+  void port_remove(const net::ConnKey& key) {
+    if (!ports_built_ || port_keys_.empty()) return;
+    const std::uint64_t pk = port_key(key.proto, key.dst_ip, key.dst_port);
+    const std::size_t n = port_keys_.size();
+    for (std::size_t i = port_hash(pk) % n;; i = i + 1 == n ? 0 : i + 1) {
+      const std::uint64_t k = port_keys_[i];
+      if (k == 0) return;
+      if (k == pk) {
+        if (port_counts_[i] > 0 && --port_counts_[i] == 0) {
+          port_keys_[i] = ~0ULL;
+          --ports_live_;
+          ++ports_dead_;
+        }
+        return;
+      }
+    }
+  }
+  void port_grow() {
+    const std::vector<std::uint64_t> old_keys = std::move(port_keys_);
+    const std::vector<std::uint32_t> old_counts = std::move(port_counts_);
+    std::size_t live = 0;
+    for (const std::uint64_t k : old_keys) live += (k != 0 && k != ~0ULL);
+    const std::size_t n = net::slab::sized_for(live);
+    port_keys_.assign(n, 0);
+    port_counts_.assign(n, 0);
+    port_keys_.shrink_to_fit();
+    port_counts_.shrink_to_fit();
+    ports_live_ = 0;
+    ports_dead_ = 0;
+    for (std::size_t j = 0; j < old_keys.size(); ++j) {
+      const std::uint64_t k = old_keys[j];
+      if (k == 0 || k == ~0ULL) continue;
+      std::size_t i = port_hash(k) % n;
+      while (port_keys_[i] != 0) i = i + 1 == n ? 0 : i + 1;
+      port_keys_[i] = k;
+      port_counts_[i] = old_counts[j];
+      ++ports_live_;
+    }
+  }
+
+  net::slab::Arena<Slot, &Slot::next_free> slots_;
+  Index index_;
+  std::vector<std::uint64_t> port_keys_;
+  std::vector<std::uint32_t> port_counts_;
+  std::size_t ports_live_ = 0;
+  std::size_t ports_dead_ = 0;
+  bool ports_built_ = false;
+};
+
+}  // namespace untagged
+
+/// Tuple universe small enough that tuples repeat across connections
+/// (rebinds, duplicate origs) and every digest value recurs; ConnKeyHash
+/// is fixed, so the overlap comes from the tuples instead of a weak hash.
+/// `hosts` scales the universe: 2 * hosts * 3 * 6 * 3 tuples.
+net::ConnKey small_tuple(std::mt19937& rng, std::uint32_t hosts) {
+  net::ConnKey k = key_of(1 + rng() % hosts, 1 + rng() % 3,
+                          std::uint16_t(1 + rng() % 6),
+                          std::uint16_t(1 + rng() % 3));
+  if (rng() % 4 == 0) k.proto = net::L4Proto::kTcp;
+  return k;
+}
+
+TEST(SlabTableContract, TaggedConnTableMatchesUntaggedProbing) {
+  for (std::uint32_t seed = 11; seed <= 18; ++seed) {
+    std::mt19937 rng(seed);
+    // Half the seeds hold several connections per tuple on average.
+    const std::uint32_t hosts = seed % 2 == 0 ? 12 : 2;
+    const int sweep_every = seed % 2 == 0 ? 250 : 10;
+    net::ConnTable table;
+    untagged::ConnTable ref;
+    // Live ids, and those still awaiting confirmation.
+    std::vector<std::uint64_t> live;
+    std::vector<std::uint64_t> unconfirmed;
+    std::vector<std::uint64_t> dead;
+    std::size_t peak = 0;
+    const auto take = [&rng](std::vector<std::uint64_t>& v) {
+      const std::size_t i = rng() % v.size();
+      const std::uint64_t id = v[i];
+      v[i] = v.back();
+      v.pop_back();
+      return id;
+    };
+    const auto same_find = [&](const net::ConnKey& k,
+                               const std::string& at) {
+      const auto got = table.find(k);
+      const auto want = ref.find(k);
+      ASSERT_EQ(got.id, want.id) << at;
+    };
+    for (int step = 0; step < 8000; ++step) {
+      const std::string at =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      // Grow (index rebuilds at each 85% mark), churn at a steady
+      // population (tombstone-driven rebuilds, each leaving a duplicate
+      // binding, and LIFO slot reuse), then drain.
+      const std::uint32_t op = rng() % 100;
+      const std::uint32_t create_share =
+          step < 2500 ? 40 : step < 6500 ? 25 : 15;
+      net::ConnKey k = small_tuple(rng, hosts);
+      if (op < create_share || live.empty()) {
+        net::ConnEntry e;
+        e.orig = k;
+        const auto a = table.create(e);
+        const auto b = ref.create(e);
+        ASSERT_EQ(a.id, b.id) << at;
+        live.push_back(a.id);
+        unconfirmed.push_back(a.id);
+      } else if (op < 60 && !unconfirmed.empty()) {
+        // Netfilter's confirmation: the reply is set, then registered.
+        // It may equal the orig, or rebind another connection's tuple.
+        const std::uint64_t id = take(unconfirmed);
+        const std::uint32_t pick = rng() % 3;
+        net::ConnKey reply = k;
+        if (pick == 0) reply = table.find_id(id).entry->orig;
+        if (pick == 1 && live.size() > 1) {
+          reply = table.find_id(live[rng() % live.size()]).entry->orig;
+        }
+        for (auto* e : {table.find_id(id).entry, ref.find_id(id).entry}) {
+          e->reply = reply;
+          e->confirmed = true;
+        }
+        table.register_reply(id, reply);
+        ref.register_reply(id, reply);
+        k = reply;
+      } else if (op < 80) {
+        const std::uint64_t id = take(live);
+        std::erase(unconfirmed, id);
+        k = table.find_id(id).entry->orig;
+        table.erase(id);
+        ref.erase(id);
+        dead.push_back(id);
+      } else if (op < 82 && !dead.empty()) {
+        const std::uint64_t id = dead[rng() % dead.size()];
+        table.erase(id);  // stale id: a no-op on both
+        ref.erase(id);
+      } else if (op < 90) {
+        ASSERT_EQ(table.port_in_use(k.proto, k.dst_ip, k.dst_port),
+                  ref.port_in_use(k.proto, k.dst_ip, k.dst_port))
+            << at;
+      }
+      // Orig, reply and absent tuples alike: the operated-on tuple and
+      // its mirror image.
+      same_find(k, at);
+      same_find(key_of(k.dst_ip.value(), k.src_ip.value(), k.dst_port,
+                       k.src_port),
+                at);
+      ASSERT_EQ(table.state_bytes(), ref.state_bytes()) << at;
+      peak = std::max(peak, live.size());
+      if (step % sweep_every == sweep_every - 1) {
+        for (std::uint32_t a = 1; a <= hosts; ++a) {
+          for (std::uint32_t b = 1; b <= 3; ++b) {
+            for (std::uint16_t sp = 1; sp <= 6; ++sp) {
+              for (std::uint16_t dp = 1; dp <= 3; ++dp) {
+                net::ConnKey t = key_of(a, b, sp, dp);
+                same_find(t, at);
+                same_find(key_of(b, a, dp, sp), at);
+                t.proto = net::L4Proto::kTcp;
+                same_find(t, at);
+                ASSERT_EQ(table.port_in_use(t.proto, t.dst_ip, t.dst_port),
+                          ref.port_in_use(t.proto, t.dst_ip, t.dst_port))
+                    << at;
+              }
+            }
+          }
+        }
+      }
+    }
+    // Enough connections for several rebuilds, and slot reuse throughout.
+    EXPECT_GT(peak, 300u) << seed;
+  }
+}
+
+TEST(SlabTableContract, IndexBucketRefsStopShortOf24Bits) {
+  using net::slab::bucket_of;
+  using net::slab::kMaxSlots;
+  EXPECT_EQ(kMaxSlots, (1u << 24) - 2);
+  EXPECT_EQ(bucket_of(0xab, 5), 0xab000005u);
+  EXPECT_EQ(bucket_of(0xff, kMaxSlots - 1), 0xfffffffdu);
+  // The next refs would spell the tombstone and empty buckets, or spill
+  // into the tag: the table throws instead of aliasing.
+  EXPECT_THROW((void)bucket_of(0xff, kMaxSlots), std::length_error);
+  EXPECT_THROW((void)bucket_of(0, kMaxSlots + 1), std::length_error);
+  EXPECT_THROW((void)bucket_of(0, 1u << 24), std::length_error);
+}
+
+// ---- One-pass GC invalidation ---------------------------------------------
+//
+// Conntrack GC flushes the flow caches once per reaped id.  The one-pass
+// flush must erase the same entries in the same order (by id in reap
+// order, most-recent-first within an id): the erase order is the free
+// list, which decides slot reuse, reindex order and so rebuild timing.
+
+/// Drives two identical tables through warm-up, one reap (per-id loop on
+/// `per_id`, one pass on `batched`) and growth past an index rebuild,
+/// comparing them after every step.  Slot reuse is observed through the
+/// stable entry addresses: each new entry must take the slot of the same
+/// reaped entry in both tables.
+template <typename Table, typename Path, typename PerId, typename OnePass>
+void expect_same_reap(std::uint32_t seed, const PerId& per_id_flush,
+                      const OnePass& one_pass_flush) {
+  std::mt19937 rng(seed);
+  const std::size_t capacity = 64 + rng() % 192;
+  Table per_id(capacity);
+  Table batched(capacity);
+  const auto both = [&](const auto& op) {
+    op(per_id);
+    op(batched);
+  };
+  const auto order = [](Table& t) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+    (void)t.invalidate_if([&out](const auto& k, const Path& p) {
+      out.emplace_back(k.src_ip.value(), p.ct_id);
+      return false;
+    });
+    return out;
+  };
+  const auto expect_same = [&](const std::string& at) {
+    ASSERT_EQ(per_id.state_bytes(), batched.state_bytes()) << at;
+    ASSERT_EQ(per_id.size(), batched.size()) << at;
+    ASSERT_EQ(per_id.hits(), batched.hits()) << at;
+    ASSERT_EQ(per_id.misses(), batched.misses()) << at;
+    ASSERT_EQ(per_id.evictions(), batched.evictions()) << at;
+    ASSERT_EQ(per_id.invalidations(), batched.invalidations()) << at;
+    ASSERT_EQ(order(per_id), order(batched)) << at;
+  };
+  const std::string tag = "seed " + std::to_string(seed);
+
+  // Warm up to ~3/4 of capacity; ct ids repeat so one id backs several
+  // entries, and lookups shuffle the LRU order.
+  const std::uint32_t conns = std::uint32_t(capacity / 4);
+  std::uint32_t next_key = 0;
+  for (std::size_t i = 0; i < capacity * 3 / 4; ++i) {
+    Path p;
+    p.ct_id = 1 + rng() % conns;
+    const auto k = flow_key(next_key++);
+    both([&](Table& t) { t.insert(k, p); });
+    const auto probe = flow_key(rng() % next_key);
+    both([&](Table& t) { (void)t.lookup(probe); });
+  }
+  expect_same(tag + " warm");
+
+  // Slot address -> resident key, per table.
+  const auto slots = [&](Table& t) {
+    std::unordered_map<const void*, std::uint32_t> at;
+    for (const auto& [ip, ct] : order(t)) {
+      at[t.peek(flow_key(ip - 1))] = ip - 1;
+    }
+    return at;
+  };
+  const auto per_id_slots = slots(per_id);
+  const auto batched_slots = slots(batched);
+
+  // Reap a third of the ids in shuffled order, plus a repeat and an id
+  // nothing carries.
+  std::vector<std::uint64_t> reaped;
+  for (std::uint32_t c = 1; c <= conns; ++c) {
+    if (rng() % 3 == 0) reaped.push_back(c);
+  }
+  std::shuffle(reaped.begin(), reaped.end(), rng);
+  if (!reaped.empty()) reaped.push_back(reaped.front());
+  reaped.push_back(conns + 1);
+  std::size_t flushed = 0;
+  for (const std::uint64_t id : reaped) flushed += per_id_flush(per_id, id);
+  ASSERT_EQ(one_pass_flush(batched, reaped), flushed) << tag;
+  ASSERT_GT(flushed, 0u) << tag;
+  expect_same(tag + " reaped");
+
+  // Grow past capacity: freed slots are reused LIFO, then the index
+  // rebuilds (in slot order) and evictions churn it.
+  for (std::size_t i = 0; i < capacity * 2; ++i) {
+    Path p;
+    p.ct_id = conns + 2 + i;
+    const auto k = flow_key(next_key++);
+    both([&](Table& t) { t.insert(k, p); });
+    const std::string at = tag + " insert " + std::to_string(i);
+    if (i < flushed) {
+      const auto a = per_id_slots.find(per_id.peek(k));
+      const auto b = batched_slots.find(batched.peek(k));
+      ASSERT_TRUE(a != per_id_slots.end() && b != batched_slots.end()) << at;
+      ASSERT_EQ(a->second, b->second) << at << ": reused another slot";
+    }
+    expect_same(at);
+  }
+}
+
+TEST(SlabTableContract, OnePassConnInvalidationMatchesPerIdLoop) {
+  using net::flowcache::CachedPath;
+  using net::flowcache::FlowCache;
+  using Egress = net::oncache::SlabCache<net::flowcache::FlowKey,
+                                         net::oncache::EgressPath,
+                                         net::flowcache::FlowKeyHash>;
+  for (const std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    expect_same_reap<FlowCache, CachedPath>(
+        seed,
+        [](FlowCache& t, std::uint64_t id) { return t.invalidate_conn(id); },
+        [](FlowCache& t, std::span<const std::uint64_t> ids) {
+          return t.invalidate_conns(ids);
+        });
+    expect_same_reap<Egress, net::oncache::EgressPath>(
+        seed,
+        [](Egress& t, std::uint64_t id) {
+          return t.invalidate_if(
+              [id](const net::flowcache::FlowKey&,
+                   const net::oncache::EgressPath& p) {
+                return p.ct_id == id;
+              });
+        },
+        [](Egress& t, std::span<const std::uint64_t> ids) {
+          return t.invalidate_ids(
+              ids, [](const net::flowcache::FlowKey&,
+                      const net::oncache::EgressPath& p) { return p.ct_id; });
+        });
   }
 }
 
