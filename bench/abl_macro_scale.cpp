@@ -419,9 +419,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
     } else if (std::strncmp(argv[i], "--machines=", 11) == 0) {
-      machines = static_cast<int>(std::strtol(argv[i] + 11, nullptr, 10));
+      machines = bench::int_arg(argv[i] + 11, "--machines");
     } else if (std::strncmp(argv[i], "--flows=", 8) == 0) {
-      flows = static_cast<int>(std::strtol(argv[i] + 8, nullptr, 10));
+      flows = bench::int_arg(argv[i] + 8, "--flows");
     }
   }
   const MacroScaleConfig base = base_config(args.seed, full, machines, flows);

@@ -4,16 +4,16 @@
 // section 5.3.1); this sweep shows why: spreading policies buy more VMs,
 // inflating the baseline — and leaving *more* waste for Hostlo to reclaim.
 #include <cstdio>
-#include <cstdlib>
 
 #include "json_report.hpp"
 #include "orch/scheduler.hpp"
+#include "sim/parse.hpp"
 #include "trace/google_trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace nestv;
   const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2019;
+      argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 2019;
   trace::TraceConfig tc;
   tc.seed = seed;
   const auto users = trace::generate_google_like_trace(tc);

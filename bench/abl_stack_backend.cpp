@@ -35,6 +35,7 @@
 #include "net/stack_backend.hpp"
 #include "net/stack_service.hpp"
 #include "sim/engine.hpp"
+#include "sim/parse.hpp"
 #include "sim/resource.hpp"
 
 namespace {
@@ -307,8 +308,9 @@ Consolidation consolidation_point(int guests) {
 
 int main(int argc, char** argv) {
   const std::uint64_t seed =
-      argc > 1 && argv[1][0] != '-' ? std::strtoull(argv[1], nullptr, 10)
-                                    : 42;
+      argc > 1 && argv[1][0] != '-'
+          ? sim::parse_uint_or_exit(argv[1], "seed")
+          : 42;
   (void)seed;  // the scenarios are closed-form; seed is reported only
 
   const std::uint32_t sizes[] = {64, 256, 512, 1024, 1280, 1408};

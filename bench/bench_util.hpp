@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "scenario/cross_vm.hpp"
 #include "scenario/single_server.hpp"
 #include "sim/cpu.hpp"
+#include "sim/parse.hpp"
 #include "workload/apps.hpp"
 #include "workload/netperf.hpp"
 
@@ -38,19 +40,25 @@ struct BenchArgs {
   int shards = 0;
 };
 
+/// Parses a non-negative int flag value; bad input exits 2 (sim/parse.hpp).
+inline int int_arg(const char* text, const char* what) {
+  return static_cast<int>(sim::parse_uint_or_exit(
+      text, what, static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
+}
+
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs a;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      a.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      a.jobs = int_arg(argv[++i], "--jobs");
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      a.jobs = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
+      a.jobs = int_arg(argv[i] + 7, "--jobs");
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      a.shards = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      a.shards = int_arg(argv[++i], "--shards");
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      a.shards = static_cast<int>(std::strtol(argv[i] + 9, nullptr, 10));
+      a.shards = int_arg(argv[i] + 9, "--shards");
     } else if (argv[i][0] != '-') {
-      a.seed = std::strtoull(argv[i], nullptr, 10);
+      a.seed = sim::parse_uint_or_exit(argv[i], "seed");
     }
   }
   if (a.jobs < 1) a.jobs = 1;
@@ -127,7 +135,7 @@ inline const std::vector<std::uint32_t>& message_sizes() {
 }
 
 inline std::uint64_t seed_from_args(int argc, char** argv) {
-  return argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  return argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 42;
 }
 
 /// Per-run datapath statistics emitted into every bench's JSON: engine

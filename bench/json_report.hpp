@@ -50,7 +50,8 @@ class JsonReport {
   }
 
   /// Optionally attaches the conductor's epoch-loop counters; serialized
-  /// as a nested "execution" object.  They describe *how* the run
+  /// as a nested "execution" object, with the partition ceiling derived
+  /// from the per-shard events.  They describe *how* the run
   /// executed, not the simulated system (barrier_wait_ns is wall clock,
   /// idle_windows follows the window schedule), so check_bench.py folds
   /// them into BENCH_summary.json and never gates them.  Pass a scenario
@@ -92,6 +93,8 @@ class JsonReport {
                    static_cast<unsigned long long>(conductor_.cross_posts));
       std::fprintf(f, "    \"drained_posts\": %llu,\n",
                    static_cast<unsigned long long>(conductor_.drained_posts));
+      std::fprintf(f, "    \"partition_ceiling\": %s,\n",
+                   number(partition_ceiling()).c_str());
       write_u64_array(f, "idle_windows", conductor_.idle_windows, ",\n");
       write_u64_array(f, "barrier_wait_ns", conductor_.barrier_wait_ns, "\n");
       std::fprintf(f, "  },\n");
@@ -127,6 +130,20 @@ class JsonReport {
     double value = 0.0;
     double target = std::nan("");
   };
+
+  /// Best possible parallel speedup of this partition: total events over
+  /// the busiest shard's (an ideal conductor cannot beat it).  Reporting
+  /// only; NaN (written as null) when no events were recorded.
+  [[nodiscard]] double partition_ceiling() const {
+    std::uint64_t total = 0, busiest = 0;
+    for (const std::uint64_t e : per_shard_events_) {
+      total += e;
+      busiest = e > busiest ? e : busiest;
+    }
+    return busiest == 0 ? std::nan("")
+                        : static_cast<double>(total) /
+                              static_cast<double>(busiest);
+  }
 
   static void write_u64_array(std::FILE* f, const char* key,
                               const std::vector<std::uint64_t>& values,

@@ -8,9 +8,9 @@
 //
 //   $ ./examples/brfusion_pod [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "scenario/single_server.hpp"
+#include "sim/parse.hpp"
 #include "workload/apps.hpp"
 
 using namespace nestv;
@@ -56,7 +56,7 @@ void run_one(scenario::ServerMode mode, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+      argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 42;
   std::printf("BrFusion example: NGINX pod behind bridge+NAT vs a fused "
               "per-pod NIC\n\n");
   run_one(scenario::ServerMode::kNat, seed);

@@ -4,17 +4,17 @@
 //   $ ./examples/capture_and_ping [seed] [pcap-path]
 //   $ tcpdump -r /tmp/nestv_brfusion.pcap | head
 #include <cstdio>
-#include <cstdlib>
 
 #include "net/pcap.hpp"
 #include "scenario/single_server.hpp"
+#include "sim/parse.hpp"
 #include "workload/netperf.hpp"
 
 using namespace nestv;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+      argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 42;
   const std::string pcap_path =
       argc > 2 ? argv[2] : "/tmp/nestv_brfusion.pcap";
 

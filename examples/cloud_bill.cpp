@@ -8,16 +8,16 @@
 //
 //   $ ./examples/cloud_bill [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "orch/scheduler.hpp"
+#include "sim/parse.hpp"
 #include "trace/google_trace.hpp"
 
 using namespace nestv;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2019;
+      argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 2019;
 
   orch::AwsM5Catalog catalog;
   orch::KubernetesScheduler k8s(catalog);

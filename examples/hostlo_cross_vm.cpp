@@ -7,16 +7,16 @@
 //
 //   $ ./examples/hostlo_cross_vm [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "scenario/cross_vm.hpp"
+#include "sim/parse.hpp"
 #include "workload/netperf.hpp"
 
 using namespace nestv;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+      argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 42;
 
   std::printf("Hostlo example: one pod, two VMs, one shared localhost\n\n");
 

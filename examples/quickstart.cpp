@@ -4,15 +4,15 @@
 //
 //   $ ./examples/quickstart [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "scenario/single_server.hpp"
+#include "sim/parse.hpp"
 #include "workload/netperf.hpp"
 
 int main(int argc, char** argv) {
   using namespace nestv;
   const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+      argc > 1 ? sim::parse_uint_or_exit(argv[1], "seed") : 42;
 
   std::printf("nestv quickstart: nested virtualization without the nest\n");
   std::printf("%-10s %14s %16s %14s\n", "mode", "rr-lat (us)",

@@ -21,10 +21,12 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "fuzz/minimize.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/plan.hpp"
+#include "sim/parse.hpp"
 #include "sim/test_hooks.hpp"
 
 namespace {
@@ -43,13 +45,13 @@ struct Options {
 bool parse_seeds(const std::string& arg, Options& opt) {
   const auto dots = arg.find("..");
   if (dots == std::string::npos) return false;
-  try {
-    opt.seed_begin = std::stoull(arg.substr(0, dots));
-    opt.seed_end = std::stoull(arg.substr(dots + 2));
-  } catch (...) {
-    return false;
-  }
-  return opt.seed_end >= opt.seed_begin;
+  const std::string_view text(arg);
+  const auto begin = nestv::sim::parse_uint(text.substr(0, dots));
+  const auto end = nestv::sim::parse_uint(text.substr(dots + 2));
+  if (!begin || !end || *end < *begin) return false;
+  opt.seed_begin = *begin;
+  opt.seed_end = *end;
+  return true;
 }
 
 [[noreturn]] void usage_error(const char* msg) {
@@ -115,7 +117,9 @@ int main(int argc, char** argv) {
     if (arg == "--seeds") {
       if (!parse_seeds(value(), opt)) usage_error("bad --seeds range");
     } else if (arg == "--time-budget") {
-      opt.time_budget = std::atof(value().c_str());
+      const auto budget = nestv::sim::parse_nonneg_double(value());
+      if (!budget) usage_error("bad --time-budget");
+      opt.time_budget = *budget;
     } else if (arg == "--minimize") {
       opt.minimize = true;
     } else if (arg == "--out-dir") {

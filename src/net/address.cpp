@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <cstdio>
+#include <string_view>
+
+#include "sim/parse.hpp"
 
 namespace nestv::net {
 
@@ -82,9 +85,10 @@ std::optional<Ipv4Cidr> Ipv4Cidr::parse(const std::string& text) {
   if (slash == std::string::npos) return std::nullopt;
   const auto addr = Ipv4Address::parse(text.substr(0, slash));
   if (!addr) return std::nullopt;
-  const int len = std::atoi(text.c_str() + slash + 1);
-  if (len < 0 || len > 32) return std::nullopt;
-  return Ipv4Cidr(*addr, len);
+  const auto len =
+      sim::parse_uint(std::string_view(text).substr(slash + 1), 32);
+  if (!len) return std::nullopt;
+  return Ipv4Cidr(*addr, static_cast<int>(*len));
 }
 
 Ipv4Address Ipv4Cidr::host(std::uint32_t i) const {

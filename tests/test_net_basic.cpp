@@ -105,6 +105,21 @@ TEST(Ipv4Cidr, ParseRoundTrip) {
   EXPECT_FALSE(Ipv4Cidr::parse("192.168.122.0/33").has_value());
 }
 
+TEST(Ipv4Cidr, ParseRejectsNonNumericPrefix) {
+  // A prefix must be all digits: no silent /0 or truncation.
+  EXPECT_FALSE(Ipv4Cidr::parse("10.0.0.0/abc").has_value());
+  EXPECT_FALSE(Ipv4Cidr::parse("10.0.0.0/24x").has_value());
+  EXPECT_FALSE(Ipv4Cidr::parse("10.0.0.0/").has_value());
+  EXPECT_FALSE(Ipv4Cidr::parse("10.0.0.0/-1").has_value());
+  EXPECT_FALSE(Ipv4Cidr::parse("10.0.0.0/ 24").has_value());
+  const auto zero = Ipv4Cidr::parse("10.0.0.0/0");
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(zero->prefix_len(), 0);
+  const auto full = Ipv4Cidr::parse("10.0.0.7/32");
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->to_string(), "10.0.0.7/32");
+}
+
 // ---- packets -------------------------------------------------------------------------
 
 TEST(Packet, SizeAccounting) {

@@ -22,12 +22,20 @@ Modes:
       Consolidate every BENCH_*.json (all metrics, wall-clock included,
       plus the execution shape: shards, worker threads, per-shard event
       counts) into one artifact for CI upload and cross-run comparison.
+  trajectory <bench_dir>... --build-dir DIR --label TEXT [--append FILE]
+      Print one JSON line of host throughput: every events_per_sec_wall*
+      metric of abl_engine_perf and of the abl_macro_scale smoke run (the
+      median over the given directories, one per repetition), with nproc
+      and the build's compiler and build type.  --append adds the line to
+      FILE (bench/perf_trajectory.jsonl keeps one per change).
 """
 
 import argparse
 import glob
 import json
 import os
+import re
+import statistics
 import sys
 
 # Metric names containing these substrings are not simulation outputs:
@@ -93,6 +101,49 @@ def load_execution(bench_dir: str) -> dict:
     return out
 
 
+# Benches whose wall-clock throughput the perf trajectory records.
+TRAJECTORY_BENCHES = ("abl_engine_perf", "abl_macro_scale")
+
+
+def build_shape(build_dir: str) -> dict:
+    """Compiler and build type of a CMake build tree."""
+    with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+        cache = f.read()
+    m = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", cache, re.M)
+    # An empty cache entry means the top-level CMakeLists default: Release.
+    build_type = (m.group(1) if m else "") or "Release"
+    compiler = "unknown"
+    found = glob.glob(os.path.join(build_dir, "CMakeFiles", "*",
+                                   "CMakeCXXCompiler.cmake"))
+    if found:
+        with open(sorted(found)[-1]) as f:
+            text = f.read()
+        cid = re.search(r'CMAKE_CXX_COMPILER_ID "([^"]*)"', text)
+        ver = re.search(r'CMAKE_CXX_COMPILER_VERSION "([^"]*)"', text)
+        compiler = " ".join(x.group(1) for x in (cid, ver) if x)
+    return {"compiler": compiler, "build_type": build_type}
+
+
+def trajectory_record(bench_dirs: list, build_dir: str, label: str) -> dict:
+    record = {"label": label, "nproc": len(os.sched_getaffinity(0)),
+              **build_shape(build_dir), "reps": len(bench_dirs)}
+    samples = {}
+    for bench_dir in bench_dirs:
+        benches = load_dir(bench_dir, deterministic_only=False)
+        for bench in TRAJECTORY_BENCHES:
+            rates = {name: value
+                     for name, value in benches.get(bench, {}).items()
+                     if name.startswith("events_per_sec_wall")}
+            if not rates:
+                sys.exit(f"error: no events_per_sec_wall metric of {bench} "
+                         f"in {bench_dir}")
+            for name, value in rates.items():
+                samples.setdefault(f"{bench}.{name}", []).append(value)
+    for key in sorted(samples):
+        record[key] = statistics.median(samples[key])
+    return record
+
+
 def compare(expected: dict, actual: dict, tolerance_pct: float,
             expected_label: str, actual_label: str) -> int:
     """Symmetric comparison: a bench or metric present on only one side
@@ -156,7 +207,27 @@ def main() -> int:
     summ.add_argument("bench_dir")
     summ.add_argument("-o", "--output", required=True)
 
+    traj = sub.add_parser("trajectory")
+    traj.add_argument("bench_dirs", nargs="+", metavar="bench_dir",
+                      help="one directory of BENCH files per repetition")
+    traj.add_argument("--build-dir", required=True,
+                      help="CMake build tree the benches came from")
+    traj.add_argument("--label", required=True,
+                      help="what this record measures (e.g. the change)")
+    traj.add_argument("--append", metavar="FILE",
+                      help="append the record to FILE instead of stdout")
+
     args = ap.parse_args()
+
+    if args.mode == "trajectory":
+        line = json.dumps(trajectory_record(args.bench_dirs, args.build_dir,
+                                            args.label))
+        if args.append:
+            with open(args.append, "a") as f:
+                f.write(line + "\n")
+        else:
+            print(line)
+        return 0
 
     if args.mode == "snapshot":
         snapshot = load_dir(args.bench_dir)
